@@ -14,16 +14,15 @@ dW_out = (H^L)^T dlogits.  No biases anywhere; relu'(0) = 0.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gradset import GradSet
 from .graph import NormalizedAdjacency
-from .kernels import (LocalAdjView, aggregate, full_view, masked_rows, matmul,
-                      relu, relu_mask, softmax_xent)
-from .report import OpCounter, StepReport
+from .kernels import (aggregate, full_view, masked_rows, matmul, relu,
+                      relu_mask, softmax_xent)
+from .report import OpCounter, training_step
 
 Array = np.ndarray
 
@@ -83,10 +82,9 @@ class ForwardCache:
     logits: Array
 
 
-def forward_full(adj: NormalizedAdjacency, X: Array, params: ConvParams,
-                 view: LocalAdjView | None = None) -> ForwardCache:
-    if view is None:
-        view = full_view(adj)
+def forward_full(adj: NormalizedAdjacency, X: Array,
+                 params: ConvParams) -> ForwardCache:
+    view = full_view(adj)
     H = [np.asarray(X, dtype=np.float64)]
     agg = [None]
     mask = [None]
@@ -115,10 +113,8 @@ class ConvGrads:
 
 
 def backward_full(adj: NormalizedAdjacency, cache: ForwardCache,
-                  dlogits: Array, params: ConvParams,
-                  view: LocalAdjView | None = None) -> ConvGrads:
-    if view is None:
-        view = full_view(adj)
+                  dlogits: Array, params: ConvParams) -> ConvGrads:
+    view = full_view(adj)
     L = params.n_layers
     blocks = {"Wout": matmul(cache.H[L].T, dlogits)}
     V = [None] * (L + 1)
@@ -142,27 +138,22 @@ def full_gradients(adj: NormalizedAdjacency, X: Array, labels: Array,
     return loss, dlogits, cache, cg
 
 
+def count_full_pass(counter: OpCounter, adj: NormalizedAdjacency,
+                    n_layers: int) -> None:
+    """Count one forward and backward sweep over every node of adj: L
+    aggregates forward, L - 1 backward, and every layer's rows written."""
+    counter.embed_rows_written += adj.n * n_layers
+    counter.aux_rows_written += adj.n * n_layers
+    for _ in range(2 * n_layers - 1):
+        counter.count_view(full_view(adj))
+
+
+@training_step
 def gd_step(adj: NormalizedAdjacency, X: Array, labels: Array,
             params: ConvParams, lr: float, step: int = 0,
-            view: LocalAdjView | None = None,
-            counter: OpCounter | None = None) -> StepReport:
+            counter: OpCounter | None = None):
     """One full-batch gradient-descent step (in-place parameter update)."""
-    t0 = time.perf_counter()
-    if counter is None:
-        counter = OpCounter()
-    counter.reset()
-    if view is None:
-        view = full_view(adj)
-    cache = forward_full(adj, X, params, view)
-    loss, dlogits = softmax_xent(cache.logits, labels, 1.0)
-    cg = backward_full(adj, cache, dlogits, params, view)
-    params.apply_grads(cg.grads, lr)
-    L = params.n_layers
-    counter.embed_rows_written += adj.n * L
-    counter.aux_rows_written += adj.n * L
-    counter.rows_read += adj.n * (L + 1)
-    for _ in range(2 * L - 1):
-        counter.count_view(view)
-    return StepReport(step=step, loss=loss, grad_norm=cg.grads.norm(),
-                      touched_rows=counter.touched_rows,
-                      wall_ms=(time.perf_counter() - t0) * 1e3, grads=cg.grads)
+    loss, _, _, cg = full_gradients(adj, X, labels, params)
+    counter.rows_read += adj.n * (params.n_layers + 1)
+    count_full_pass(counter, adj, params.n_layers)
+    return loss, cg.grads

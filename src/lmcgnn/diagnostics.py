@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convnet import ConvParams, forward_full, full_gradients, init_conv_params
+from .convnet import ConvParams, full_gradients, init_conv_params
 from .gradset import GradSet
 from .graph import Graph, NormalizedAdjacency, Partition, batch_from_parts, build_graph, normalized_adjacency
 from .kernels import fro_norm
 from .recnet import (DEFAULT_MAX_ITER, RecParams, full_rec_gradients,
-                     init_rec_params, solve_forward)
+                     init_rec_params)
 
 Array = np.ndarray
 
@@ -215,23 +215,23 @@ def _stacked_rel_err(approx_list, exact_list) -> float:
     return num / den
 
 
+def history_errors(embed, aux, embed_exact, aux_exact) -> tuple:
+    """(d_h, d_v): stacked relative errors of per-layer embedding and
+    pullback rows against their exact values."""
+    return (_stacked_rel_err(embed, embed_exact),
+            _stacked_rel_err(aux, aux_exact))
+
+
 def conv_history_errors(adj: NormalizedAdjacency, X: Array, labels: Array,
                         params: ConvParams, hist) -> tuple:
     """(d_h, d_v) of a layered history against the exact full-batch values
     at the current parameters."""
     _, _, cache, cg = full_gradients(adj, X, labels, params)
-    L = params.n_layers
-    d_h = _stacked_rel_err([hist.embed[l] for l in range(1, L + 1)],
-                           [cache.H[l] for l in range(1, L + 1)])
-    d_v = _stacked_rel_err([hist.aux[l] for l in range(1, L + 1)],
-                           [cg.V[l] for l in range(1, L + 1)])
-    return d_h, d_v
+    return history_errors(hist.embed[1:], hist.aux[1:], cache.H[1:], cg.V[1:])
 
 
 def rec_history_errors(adj: NormalizedAdjacency, X: Array, labels: Array,
                        params: RecParams, hist, tol: float,
                        max_iter: int = DEFAULT_MAX_ITER) -> tuple:
     _, _, state, aux = full_rec_gradients(adj, X, labels, params, tol, max_iter)
-    d_h = _stacked_rel_err([hist.embed], [state.H])
-    d_v = _stacked_rel_err([hist.aux], [aux.V])
-    return d_h, d_v
+    return history_errors([hist.embed], [hist.aux], [state.H], [aux.V])

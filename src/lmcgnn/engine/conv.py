@@ -14,22 +14,23 @@ Three estimators share one pipeline:
   core and renormalizes with local degrees; no history at all.
 
 `backward_sgd_grads` is the unbiased estimator that reads exact full-batch
-quantities on batch rows; the compensated step is its practical sibling
-with histories standing in for the exact values.
+quantities on batch rows (`backward_sgd_step` trains with it); the
+compensated step is its practical sibling with histories standing in for
+the exact values.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..convnet import ConvGrads, ConvParams, ForwardCache, backward_full, forward_full
+from ..convnet import (ConvGrads, ConvParams, ForwardCache, backward_full,
+                       count_full_pass, forward_full, full_gradients)
 from ..gradset import GradSet
 from ..graph import Graph, MiniBatch, NormalizedAdjacency, build_graph, normalized_adjacency
-from ..kernels import (LocalAdjView, aggregate, build_local_view, full_view,
-                       masked_rows, matmul, relu, relu_mask, softmax_xent)
-from ..report import OpCounter, StepReport
+from ..kernels import (LocalAdjView, aggregate, build_local_view, masked_rows,
+                       matmul, relu, relu_mask, softmax_xent)
+from ..report import OpCounter, StepReport, training_step
 from .blend import ZERO_SCHEDULE, BlendSchedule, blend_rows, blend_weights
 from .history import ConvHistory
 
@@ -75,11 +76,9 @@ class ConvStepCache:
 
 
 def lmc_conv_forward(ctx: ConvBatchContext, X: Array, params: ConvParams,
-                     hist: ConvHistory, counter: OpCounter | None = None) -> ConvStepCache:
+                     hist: ConvHistory, counter: OpCounter) -> ConvStepCache:
     """Forward sweep: refresh core history rows layer by layer; form blended
     halo temporaries (never written back)."""
-    if counter is None:
-        counter = OpCounter()
     batch, view, beta = ctx.batch, ctx.view, ctx.beta
     nc, nh = batch.n_core, len(batch.halo1)
     L = params.n_layers
@@ -109,8 +108,8 @@ def lmc_conv_forward(ctx: ConvBatchContext, X: Array, params: ConvParams,
 
 def lmc_conv_backward(ctx: ConvBatchContext, params: ConvParams,
                       hist: ConvHistory, cache: ConvStepCache,
-                      dlogits_hist: Array, *, zero_comp: bool = False,
-                      counter: OpCounter | None = None) -> list:
+                      dlogits_hist: Array, counter: OpCounter, *,
+                      zero_comp: bool = False) -> list:
     """Backward sweep mirroring the forward: refresh core pullback history
     rows, blend halo pullback temporaries (with the same out-of-scope
     pruning), and return the masked core pullbacks per layer for the
@@ -120,8 +119,6 @@ def lmc_conv_backward(ctx: ConvBatchContext, params: ConvParams,
     which is the historical-only restriction.  The top-layer halo pullback
     starts at zero: halo nodes contribute no loss terms of their own.
     """
-    if counter is None:
-        counter = OpCounter()
     batch, view, beta = ctx.batch, ctx.view, ctx.beta
     nc, nh = batch.n_core, len(batch.halo1)
     L = params.n_layers
@@ -155,17 +152,14 @@ def _batch_labels(labels: Array, batch: MiniBatch) -> Array:
     return np.asarray(labels, dtype=np.int64)[batch.core]
 
 
+@training_step
 def lmc_conv_step(adj: NormalizedAdjacency, g: Graph, X: Array, labels: Array,
                   n_labeled_total: int, batch: MiniBatch, params: ConvParams,
                   hist: ConvHistory, schedule: BlendSchedule, lr: float,
                   step: int = 0, *, zero_backward: bool = False,
-                  counter: OpCounter | None = None) -> StepReport:
+                  counter: OpCounter | None = None):
     """One compensated training step: forward refresh, batch loss, backward
     refresh, reweighted gradients, SGD update."""
-    t0 = time.perf_counter()
-    if counter is None:
-        counter = OpCounter()
-    counter.reset()
     ctx = build_conv_context(adj, g, batch, schedule)
     cache = lmc_conv_forward(ctx, X, params, hist, counter)
     L = params.n_layers
@@ -178,20 +172,16 @@ def lmc_conv_step(adj: NormalizedAdjacency, g: Graph, X: Array, labels: Array,
         raise ValueError("batch has no labeled core nodes")
     loss, dlog_mb = softmax_xent(logits, lab_core, weight=batch.w_loss)
     _, dlog_hist = softmax_xent(logits, lab_core, weight=n_lc / n_labeled_total)
-    masked = lmc_conv_backward(ctx, params, hist, cache, dlog_hist,
-                               zero_comp=zero_backward, counter=counter)
+    masked = lmc_conv_backward(ctx, params, hist, cache, dlog_hist, counter,
+                               zero_comp=zero_backward)
     scale = batch.w_grad * (adj.n / nc)
     blocks = {}
     for l in range(1, L + 1):
         gl = matmul(cache.agg_core[l].T, masked[l])
         blocks[f"W{l}"] = gl * scale
     blocks["Wout"] = matmul(h_top.T, dlog_mb)
-    grads = GradSet(blocks)
-    params.apply_grads(grads, lr)
     hist.last_refresh[batch.core] = step
-    return StepReport(step=step, loss=loss, grad_norm=grads.norm(),
-                      touched_rows=counter.touched_rows,
-                      wall_ms=(time.perf_counter() - t0) * 1e3, grads=grads)
+    return loss, GradSet(blocks)
 
 
 def gas_conv_step(adj: NormalizedAdjacency, g: Graph, X: Array, labels: Array,
@@ -219,33 +209,21 @@ def induced_subgraph(g: Graph, core: Array):
     return build_graph(len(core), np.asarray(edges, dtype=np.int64).reshape(-1, 2))
 
 
+@training_step
 def cluster_step(g: Graph, X: Array, labels: Array, batch: MiniBatch,
                  params: ConvParams, lr: float, step: int = 0,
-                 counter: OpCounter | None = None) -> StepReport:
+                 counter: OpCounter | None = None):
     """Induced-subgraph step: local-degree renormalization, no history, no
     halo.  Cut edges simply vanish for the duration of the step."""
-    t0 = time.perf_counter()
-    if counter is None:
-        counter = OpCounter()
-    counter.reset()
     core = batch.core
-    sub = induced_subgraph(g, core)
-    sadj = normalized_adjacency(sub)
-    sview = full_view(sadj)
-    cache = forward_full(sadj, np.asarray(X, dtype=np.float64)[core], params, sview)
-    counter.rows_read += batch.n_core
+    sadj = normalized_adjacency(induced_subgraph(g, core))
+    cache = forward_full(sadj, np.asarray(X, dtype=np.float64)[core], params)
     loss, dlog = softmax_xent(cache.logits, _batch_labels(labels, batch),
                               weight=batch.w_loss)
-    cg = backward_full(sadj, cache, dlog, params, sview)
-    params.apply_grads(cg.grads, lr)
-    L = params.n_layers
-    counter.embed_rows_written += batch.n_core * L
-    counter.aux_rows_written += batch.n_core * L
-    for _ in range(2 * L - 1):
-        counter.count_view(sview)
-    return StepReport(step=step, loss=loss, grad_norm=cg.grads.norm(),
-                      touched_rows=counter.touched_rows,
-                      wall_ms=(time.perf_counter() - t0) * 1e3, grads=cg.grads)
+    cg = backward_full(sadj, cache, dlog, params)
+    counter.rows_read += batch.n_core
+    count_full_pass(counter, sadj, params.n_layers)
+    return loss, cg.grads
 
 
 def backward_sgd_grads(batch: MiniBatch, cache: ForwardCache, cg: ConvGrads,
@@ -269,3 +247,15 @@ def backward_sgd_grads(batch: MiniBatch, cache: ForwardCache, cg: ConvGrads,
         blocks[f"W{l}"] = matmul(cache.agg[l][core].T, m) * scale
     blocks["Wout"] = matmul(cache.H[L][core].T, dlog_mb)
     return loss, GradSet(blocks)
+
+
+@training_step
+def backward_sgd_step(adj: NormalizedAdjacency, X: Array, labels: Array,
+                      batch: MiniBatch, params: ConvParams, lr: float,
+                      step: int = 0, counter: OpCounter | None = None):
+    """One step of the unbiased estimator: an exact full-graph forward and
+    backward pass, with the gradient read on the batch's core rows."""
+    _, _, cache, cg = full_gradients(adj, X, labels, params)
+    counter.rows_read += adj.n * (params.n_layers + 1)
+    count_full_pass(counter, adj, params.n_layers)
+    return backward_sgd_grads(batch, cache, cg, params, labels)

@@ -6,7 +6,7 @@ itself and are never written.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,12 +35,6 @@ class ConvHistory:
     @property
     def n_layers(self) -> int:
         return len(self.embed) - 1
-
-    def stacked_embed(self) -> Array:
-        return np.concatenate([e.ravel() for e in self.embed[1:]])
-
-    def stacked_aux(self) -> Array:
-        return np.concatenate([a.ravel() for a in self.aux[1:]])
 
 
 @dataclass

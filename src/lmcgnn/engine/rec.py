@@ -17,10 +17,10 @@ One step on a batch runs, in order:
 
 The historical-only restriction (`gas_rec_step`) replaces the backward
 compensation with zero; the forward side is unchanged.
+`rec_backward_sgd_step` trains with the unbiased estimator on exact
+full-graph equilibria instead.
 """
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -30,23 +30,21 @@ from ..kernels import (aggregate, aggregate_listed, aggregate_pruned,
                        build_local_view, masked_rows, matmul, relu,
                        softmax_xent)
 from ..recnet import (DEFAULT_MAX_ITER, DEFAULT_TOL, RecAux, RecParams,
-                      RecState, _picard_backward, _picard_forward)
-from ..report import OpCounter, StepReport
+                      RecState, count_full_solve, picard_backward,
+                      picard_forward, solve_backward, solve_forward)
+from ..report import OpCounter, StepReport, training_step
 from .history import RecHistory
 
 Array = np.ndarray
 
 
+@training_step
 def lmc_rec_step(adj: NormalizedAdjacency, g: Graph, X: Array, labels: Array,
                  n_labeled_total: int, batch: MiniBatch, params: RecParams,
                  hist: RecHistory, lr: float, step: int = 0,
                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                  *, zero_backward: bool = False,
-                 counter: OpCounter | None = None) -> StepReport:
-    t0 = time.perf_counter()
-    if counter is None:
-        counter = OpCounter()
-    counter.reset()
+                 counter: OpCounter | None = None):
     core, halo1, halo2 = batch.core, batch.halo1, batch.halo2
     nc, nh1 = len(core), len(halo1)
     X = np.asarray(X, dtype=np.float64)
@@ -74,7 +72,7 @@ def lmc_rec_step(adj: NormalizedAdjacency, g: Graph, X: Array, labels: Array,
     c_fwd = aggregate_pruned(core_view, hist.embed[halo1])
     counter.rows_read += nh1
     eff_bias = matmul(c_fwd, params.W) + bias_core
-    h_hat, z_hat, agg_listed_h, fwd_res, fwd_iters, _ = _picard_forward(
+    h_hat, z_hat, agg_listed_h, fwd_res, fwd_iters, _ = picard_forward(
         lambda cur: aggregate_listed(core_view, cur), params.W, eff_bias,
         hist.embed[core], tol, max_iter, True, "batch forward solve")
     counter.agg_targets += fwd_iters * core_view.n_targets
@@ -110,7 +108,7 @@ def lmc_rec_step(adj: NormalizedAdjacency, g: Graph, X: Array, labels: Array,
     _, dlog_hat = softmax_xent(logits_hat, lab_core,
                                weight=n_lc / n_labeled_total)
     const = c_bwd + matmul(dlog_hat, params.w_out.T)
-    v_hat, bwd_res, bwd_iters, _ = _picard_backward(
+    v_hat, bwd_res, bwd_iters, _ = picard_backward(
         lambda rows: aggregate_listed(core_view, rows), params.W.T, const,
         mask_hat, hist.aux[core], tol, max_iter, True, "batch adjoint solve")
     counter.agg_targets += bwd_iters * core_view.n_targets
@@ -126,12 +124,8 @@ def lmc_rec_step(adj: NormalizedAdjacency, g: Graph, X: Array, labels: Array,
         "c": m_hat.sum(axis=0) * scale,
         "Wout": matmul(h_hat.T, dlog_mb),
     })
-    params.apply_grads(grads, lr)
     hist.last_refresh[core] = step
-    return StepReport(step=step, loss=loss, grad_norm=grads.norm(),
-                      touched_rows=counter.touched_rows,
-                      wall_ms=(time.perf_counter() - t0) * 1e3,
-                      fwd_iters=fwd_iters, bwd_iters=bwd_iters, grads=grads)
+    return loss, grads, fwd_iters, bwd_iters
 
 
 def gas_rec_step(adj: NormalizedAdjacency, g: Graph, X: Array, labels: Array,
@@ -166,3 +160,20 @@ def rec_backward_sgd_grads(batch: MiniBatch, X: Array, state: RecState,
         "c": m.sum(axis=0) * scale,
         "Wout": matmul(state.H[core].T, dlog_mb),
     })
+
+
+@training_step
+def rec_backward_sgd_step(adj: NormalizedAdjacency, X: Array, labels: Array,
+                          batch: MiniBatch, params: RecParams, lr: float,
+                          step: int = 0, tol: float = DEFAULT_TOL,
+                          max_iter: int = DEFAULT_MAX_ITER,
+                          counter: OpCounter | None = None):
+    """One step of the unbiased estimator: exact full-graph solves, with the
+    gradient read on the batch's core rows."""
+    state = solve_forward(adj, X, params, tol, max_iter)
+    _, dlog = softmax_xent(matmul(state.H, params.w_out), labels, 1.0)
+    aux = solve_backward(adj, state, matmul(dlog, params.w_out.T), params,
+                         tol, max_iter)
+    loss, grads = rec_backward_sgd_grads(batch, X, state, aux, params, labels)
+    count_full_solve(counter, adj.n)
+    return loss, grads, state.iters, aux.iters

@@ -138,6 +138,10 @@ class NormalizedAdjacency:
     indices: Array
     weights: Array
     diag: Array
+    # Set by kernels.full_view.  The operator is never changed after it is
+    # built, so the view stays valid for the adjacency's lifetime.
+    full_view_memo: object = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def matvec(self, x: Array) -> Array:
         out = self.diag * x
@@ -196,9 +200,6 @@ class Partition:
     B: int
     parts: list
     part_of: Array
-
-    def sizes(self) -> Array:
-        return np.array([len(p) for p in self.parts], dtype=np.int64)
 
 
 def _parts_from_assignment(part_of: Array, B: int) -> Partition:
@@ -373,8 +374,6 @@ class MiniBatch:
     labeled_core: Array
     w_loss: float
     w_grad: float
-    n_clusters: int
-    n_parts_total: int
     nodes: Array = field(init=False)
 
     def __post_init__(self):
@@ -383,10 +382,6 @@ class MiniBatch:
     @property
     def n_core(self) -> int:
         return len(self.core)
-
-    def core_local(self, ids: Array) -> Array:
-        """Positions of the given (sorted-member) global ids inside core."""
-        return np.searchsorted(self.core, ids)
 
 
 def batch_from_parts(g: Graph, p: Partition, part_ids, labeled_mask=None) -> MiniBatch:
@@ -412,7 +407,7 @@ def batch_from_parts(g: Graph, p: Partition, part_ids, labeled_mask=None) -> Min
     w_loss = (B * len(labeled_core)) / (c * n_labeled) if n_labeled else 0.0
     w_grad = (B * len(core)) / (c * n)
     return MiniBatch(part_ids, core, halo1, halo2, labeled_core,
-                     float(w_loss), float(w_grad), c, B)
+                     float(w_loss), float(w_grad))
 
 
 def sample_minibatch(g: Graph, p: Partition, c: int, rng, labeled_mask=None) -> MiniBatch:

@@ -248,6 +248,26 @@ def aggregate_pruned(view: LocalAdjView, fallback_rows: Array,
 
 def full_view(adj: NormalizedAdjacency) -> LocalAdjView:
     """View with every node as target and every node listed; aggregate on it
-    equals the dense normalized product."""
-    ids = np.arange(adj.n, dtype=np.int64)
-    return build_local_view(adj, ids, ids)
+    equals the dense normalized product.  Built on the first call for an
+    adjacency and kept on it, so later calls return the same object.
+
+    Equals build_local_view(adj, ids, ids) for ids = 0..n-1, but is read
+    off the CSR arrays without a Python loop over rows: row i holds its
+    self-loop at src_indptr[i] and its CSR neighbors after it."""
+    if adj.full_view_memo is None:
+        n = adj.n
+        indptr = np.asarray(adj.indptr, dtype=np.int64)
+        rows = np.arange(n, dtype=np.int64)
+        src_indptr = indptr + np.arange(n + 1, dtype=np.int64)
+        nbr_pos = (np.arange(indptr[-1], dtype=np.int64)
+                   + np.repeat(rows, np.diff(indptr)) + 1)
+        src_ids = np.empty(src_indptr[-1], dtype=np.int64)
+        src_w = np.empty(src_indptr[-1], dtype=np.float64)
+        src_ids[src_indptr[:-1]] = rows
+        src_w[src_indptr[:-1]] = adj.diag
+        src_ids[nbr_pos] = adj.indices
+        src_w[nbr_pos] = adj.weights
+        adj.full_view_memo = LocalAdjView(
+            rows, src_indptr, src_ids, src_w, np.zeros(n + 1, dtype=np.int64),
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+    return adj.full_view_memo

@@ -21,22 +21,21 @@ after which the implicit gradients are local expressions in (H*, Z*, V*):
     dc = column sums of (relu'(Z*) o V*)
     dW_out = H*^T dlogits.
 
-The raw iterations live in _picard_forward/_picard_backward so that the
+The raw iterations live in picard_forward/picard_backward so that the
 full-graph solvers here and the batch-local solvers in the training engine
 share one residual definition: ||x_{k+1} - x_k||_F / (1 + ||x_k||_F).
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gradset import GradSet
 from .graph import NormalizedAdjacency
-from .kernels import (LocalAdjView, aggregate, fro_norm, full_view,
-                      masked_rows, matmul, relu, softmax_xent)
-from .report import OpCounter, StepReport
+from .kernels import (aggregate, fro_norm, full_view, masked_rows, matmul,
+                      relu, softmax_xent)
+from .report import OpCounter, training_step
 
 Array = np.ndarray
 
@@ -140,8 +139,8 @@ def _relative_residual(new: Array, old: Array) -> float:
     return fro_norm(new - old) / (1.0 + fro_norm(old))
 
 
-def _picard_forward(agg_fn, W: Array, bias: Array, warm: Array, tol: float,
-                    max_iter: int, raise_on_stall: bool, what: str):
+def picard_forward(agg_fn, W: Array, bias: Array, warm: Array, tol: float,
+                   max_iter: int, raise_on_stall: bool, what: str):
     """Iterate H <- relu(agg_fn(H) @ W + bias) from `warm`.
 
     Returns (H, Z, aggH, residuals, iters, converged) with Z and aggH
@@ -175,9 +174,9 @@ def _picard_forward(agg_fn, W: Array, bias: Array, warm: Array, tol: float,
     return H, Z, agg, residuals, iters, converged
 
 
-def _picard_backward(aggm_fn, W_t: Array, const: Array, mask: Array,
-                     warm: Array, tol: float, max_iter: int,
-                     raise_on_stall: bool, what: str):
+def picard_backward(aggm_fn, W_t: Array, const: Array, mask: Array,
+                    warm: Array, tol: float, max_iter: int,
+                    raise_on_stall: bool, what: str):
     """Iterate V <- aggm_fn(mask o V) @ W_t + const from `warm`."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -206,16 +205,14 @@ def _picard_backward(aggm_fn, W_t: Array, const: Array, mask: Array,
 def solve_forward(adj: NormalizedAdjacency, X: Array, params: RecParams,
                   tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                   warm_start: Array | None = None,
-                  view: LocalAdjView | None = None,
                   raise_on_stall: bool = True) -> RecState:
     """Picard-iterate H <- relu(A H W + X P + 1 c^T) to relative tolerance
     ||H_{k+1} - H_k||_F / (1 + ||H_k||_F) <= tol."""
-    if view is None:
-        view = full_view(adj)
+    view = full_view(adj)
     X = np.asarray(X, dtype=np.float64)
     bias = matmul(X, params.P) + params.c
     warm = np.zeros((X.shape[0], params.dim)) if warm_start is None else warm_start
-    H, Z, agg, residuals, iters, converged = _picard_forward(
+    H, Z, agg, residuals, iters, converged = picard_forward(
         lambda cur: aggregate(view, cur), params.W, bias, warm,
         tol, max_iter, raise_on_stall, "forward solve")
     return RecState(H, Z, agg, residuals, iters, converged)
@@ -225,14 +222,12 @@ def solve_backward(adj: NormalizedAdjacency, state: RecState, dH: Array,
                    params: RecParams, tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER,
                    warm_start: Array | None = None,
-                   view: LocalAdjView | None = None,
                    raise_on_stall: bool = True) -> RecAux:
     """Picard-iterate V <- A (relu'(Z*) o V) W^T + dH (same tolerance
     semantics as the forward solve)."""
-    if view is None:
-        view = full_view(adj)
+    view = full_view(adj)
     warm = np.zeros_like(dH) if warm_start is None else warm_start
-    V, residuals, iters, converged = _picard_backward(
+    V, residuals, iters, converged = picard_backward(
         lambda rows: aggregate(view, rows), params.W.T, dH, state.mask, warm,
         tol, max_iter, raise_on_stall, "backward solve")
     return RecAux(V, residuals, iters, converged)
@@ -254,32 +249,30 @@ def full_rec_gradients(adj: NormalizedAdjacency, X: Array, labels: Array,
                        params: RecParams, tol: float = DEFAULT_TOL,
                        max_iter: int = DEFAULT_MAX_ITER):
     """Exact loss and implicit gradients on the whole graph."""
-    view = full_view(adj)
-    state = solve_forward(adj, X, params, tol, max_iter, view=view)
+    state = solve_forward(adj, X, params, tol, max_iter)
     logits = matmul(state.H, params.w_out)
     loss, dlogits = softmax_xent(logits, labels, 1.0)
     dH = matmul(dlogits, params.w_out.T)
-    aux = solve_backward(adj, state, dH, params, tol, max_iter, view=view)
+    aux = solve_backward(adj, state, dH, params, tol, max_iter)
     grads = rec_grads(X, state, aux, params, dlogits)
     return loss, grads, state, aux
 
 
+def count_full_solve(counter: OpCounter, n: int) -> None:
+    """Count one pair of full-graph solves: every node's embedding and
+    pullback written, every feature row read."""
+    counter.embed_rows_written += n
+    counter.aux_rows_written += n
+    counter.rows_read += n
+
+
+@training_step
 def gd_rec_step(adj: NormalizedAdjacency, X: Array, labels: Array,
                 params: RecParams, lr: float, step: int = 0,
                 tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                counter: OpCounter | None = None) -> StepReport:
+                counter: OpCounter | None = None):
     """One full-batch step through the implicit gradients."""
-    t0 = time.perf_counter()
-    if counter is None:
-        counter = OpCounter()
-    counter.reset()
     loss, grads, state, aux = full_rec_gradients(adj, X, labels, params,
                                                  tol, max_iter)
-    params.apply_grads(grads, lr)
-    counter.embed_rows_written += adj.n
-    counter.aux_rows_written += adj.n
-    counter.rows_read += adj.n
-    return StepReport(step=step, loss=loss, grad_norm=grads.norm(),
-                      touched_rows=counter.touched_rows,
-                      wall_ms=(time.perf_counter() - t0) * 1e3,
-                      fwd_iters=state.iters, bwd_iters=aux.iters, grads=grads)
+    count_full_solve(counter, adj.n)
+    return loss, grads, state.iters, aux.iters

@@ -1,7 +1,11 @@
-"""Per-step training reports and the locality counters they carry."""
+"""Per-step training reports, the locality counters they carry, and the
+wrapper that gives every training step the same bookkeeping."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import inspect
+import time
+from dataclasses import dataclass
 
 
 @dataclass
@@ -46,13 +50,9 @@ class StepReport:
     grad_norm: float
     touched_rows: int
     wall_ms: float
-    rel_grad_err: float | None = None
-    d_h: float | None = None
-    d_v: float | None = None
     fwd_iters: int | None = None
     bwd_iters: int | None = None
     grads: object | None = None  # estimator GradSet, never serialized
-    extras: dict = field(default_factory=dict)
 
     def to_record(self) -> dict:
         rec = {
@@ -62,9 +62,42 @@ class StepReport:
             "touched_rows": self.touched_rows,
             "wall_ms": self.wall_ms,
         }
-        for key in ("rel_grad_err", "d_h", "d_v", "fwd_iters", "bwd_iters"):
+        for key in ("fwd_iters", "bwd_iters"):
             val = getattr(self, key)
             if val is not None:
                 rec[key] = val
-        rec.update(self.extras)
         return rec
+
+
+def training_step(body):
+    """Decorate a step body with what every training step shares.
+
+    The body takes `params`, `lr`, the step index `step` and an OpCounter
+    `counter`, and returns its gradient estimate as (loss, grads) or
+    (loss, grads, fwd_iters, bwd_iters).  The wrapper keeps the body's
+    signature, resets the counter (a fresh one when the caller passes none),
+    applies the SGD update, times both and builds the StepReport, so after
+    the call the counter holds exactly this step's counts.
+    """
+    signature = inspect.signature(body)
+
+    @functools.wraps(body)
+    def step_fn(*args, **kwargs):
+        t0 = time.perf_counter()
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        counter = call.arguments["counter"]
+        if counter is None:
+            counter = call.arguments["counter"] = OpCounter()
+        counter.reset()
+        loss, grads, *iters = body(*call.args, **call.kwargs)
+        call.arguments["params"].apply_grads(grads, call.arguments["lr"])
+        fwd_iters, bwd_iters = iters or (None, None)
+        return StepReport(step=call.arguments["step"], loss=loss,
+                          grad_norm=grads.norm(),
+                          touched_rows=counter.touched_rows,
+                          wall_ms=(time.perf_counter() - t0) * 1e3,
+                          fwd_iters=fwd_iters, bwd_iters=bwd_iters,
+                          grads=grads)
+
+    return step_fn

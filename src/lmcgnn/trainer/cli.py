@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .. import __version__
-from ..convnet import backward_full, full_gradients, init_conv_params, loss_full
+from ..convnet import full_gradients, init_conv_params, loss_full
 from ..diagnostics import (elementwise_fd_err, enumerate_batches, finite_diff,
                            random_conv_instance, random_rec_instance)
 from ..engine import backward_sgd_grads
@@ -22,8 +22,8 @@ from ..kernels import matmul, softmax_xent
 from ..recnet import (DEFAULT_MAX_ITER, SolverDiverged, SolverStalled,
                       full_rec_gradients, solve_forward)
 from .checkpoint import CheckpointError, save_checkpoint
-from .config import (ConfigError, METHODS, MODELS, PARTITIONS, RunConfig,
-                     build_config, parse_config_file)
+from .config import (METHOD_TABLE, METHODS, MODELS, PARTITIONS, ConfigError,
+                     RunConfig, build_config, parse_config_file)
 from .data import GEN_KINDS, gen_synthetic, load_dataset, save_dataset
 from .loop import (NumericAbort, build_partition, run_diagnose, run_training,
                    write_metrics)
@@ -115,7 +115,7 @@ def cmd_train(args) -> int:
     res = run_training(cfg, ds)
     os.makedirs(cfg.out, exist_ok=True)
     write_metrics(os.path.join(cfg.out, "metrics.csv"), res.rows)
-    hist = res.hist if cfg.method.startswith(("lmc", "gas")) else None
+    hist = res.hist if METHOD_TABLE[cfg.method].history else None
     save_checkpoint(os.path.join(cfg.out, "checkpoint.bin"), cfg.model,
                     res.params, hist)
     print(f"method={cfg.method} model={cfg.model} steps={len(res.rows)} "
@@ -184,8 +184,7 @@ def cmd_enumerate(args) -> int:
                               ds.n_classes)
     labels = ds.train_labels
     X = np.asarray(ds.X, dtype=np.float64)
-    _, dlog, cache = loss_full(adj, X, labels, params)
-    cg = backward_full(adj, cache, dlog, params)
+    _, _, cache, cg = full_gradients(adj, X, labels, params)
 
     def grad_fn(batch):
         return backward_sgd_grads(batch, cache, cg, params, labels)[1]

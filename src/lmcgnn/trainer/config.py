@@ -1,4 +1,5 @@
-"""Run configuration: typed fields, flat config files, flag overrides.
+"""Run configuration: the method table, typed fields, flat config files,
+flag overrides.
 
 Config files are plain text, one ``key = value`` per line, ``#`` starts a
 comment.  Command-line flags override file values, which override the
@@ -9,16 +10,79 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .. import convnet, recnet
+from ..engine import conv, rec
 from ..engine.blend import SCORE_KINDS
 
-METHODS = ("gd", "backward-sgd", "lmc-conv", "lmc-rec", "gas-conv",
-           "gas-rec", "cluster")
+
+@dataclass(frozen=True)
+class Method:
+    """A training method: the model families it trains, whether it keeps
+    history caches, and how it binds its step function.
+
+    A bound step is called as step(s, batch, step_index), where `s` carries
+    what `trainer.loop.make_step_fn` binds: adj, g, X, labels, n_labeled,
+    params, hist, schedule, lr, tol, max_iter and counter.  Every entry
+    looks its step up on the step's module at call time, not when the table
+    is built, so a wrapper installed on that module attribute (a tracer, a
+    profiler) sees every call.
+    """
+
+    history: bool   # keeps history caches, which checkpoints save
+    steps: dict     # model family -> bound step
+
+    @property
+    def models(self) -> tuple:
+        """Model families the method trains; the first is the default."""
+        return tuple(self.steps)
+
+
+METHOD_TABLE = {
+    "gd": Method(False, {
+        "gcn": lambda s, batch, step: convnet.gd_step(
+            s.adj, s.X, s.labels, s.params, s.lr, step, counter=s.counter),
+        "recgcn": lambda s, batch, step: recnet.gd_rec_step(
+            s.adj, s.X, s.labels, s.params, s.lr, step, s.tol, s.max_iter,
+            counter=s.counter),
+    }),
+    "backward-sgd": Method(False, {
+        "gcn": lambda s, batch, step: conv.backward_sgd_step(
+            s.adj, s.X, s.labels, batch, s.params, s.lr, step,
+            counter=s.counter),
+        "recgcn": lambda s, batch, step: rec.rec_backward_sgd_step(
+            s.adj, s.X, s.labels, batch, s.params, s.lr, step, s.tol,
+            s.max_iter, counter=s.counter),
+    }),
+    "lmc-conv": Method(True, {
+        "gcn": lambda s, batch, step: conv.lmc_conv_step(
+            s.adj, s.g, s.X, s.labels, s.n_labeled, batch, s.params, s.hist,
+            s.schedule, s.lr, step, counter=s.counter),
+    }),
+    "lmc-rec": Method(True, {
+        "recgcn": lambda s, batch, step: rec.lmc_rec_step(
+            s.adj, s.g, s.X, s.labels, s.n_labeled, batch, s.params, s.hist,
+            s.lr, step, s.tol, s.max_iter, counter=s.counter),
+    }),
+    "gas-conv": Method(True, {
+        "gcn": lambda s, batch, step: conv.gas_conv_step(
+            s.adj, s.g, s.X, s.labels, s.n_labeled, batch, s.params, s.hist,
+            s.lr, step, counter=s.counter),
+    }),
+    "gas-rec": Method(True, {
+        "recgcn": lambda s, batch, step: rec.gas_rec_step(
+            s.adj, s.g, s.X, s.labels, s.n_labeled, batch, s.params, s.hist,
+            s.lr, step, s.tol, s.max_iter, counter=s.counter),
+    }),
+    "cluster": Method(False, {
+        "gcn": lambda s, batch, step: conv.cluster_step(
+            s.g, s.X, s.labels, batch, s.params, s.lr, step,
+            counter=s.counter),
+    }),
+}
+
+METHODS = tuple(METHOD_TABLE)
 MODELS = ("gcn", "recgcn")
 PARTITIONS = ("random", "clustered")
-
-# Methods restricted to one model family.  gd and backward-sgd run on both.
-_CONV_ONLY = ("lmc-conv", "gas-conv", "cluster")
-_REC_ONLY = ("lmc-rec", "gas-rec")
 
 # Blend schedule defaults flip to plain full-strength compensation once a
 # batch covers at least this fraction of the parts.
@@ -54,8 +118,8 @@ class RunConfig:
 
     def finalize(self) -> "RunConfig":
         """Fill inferred fields, then validate.  Returns self."""
-        if not self.model:
-            self.model = "recgcn" if self.method in _REC_ONLY else "gcn"
+        if not self.model and self.method in METHOD_TABLE:
+            self.model = METHOD_TABLE[self.method].models[0]
         large = self.clusters >= LARGE_BATCH_FRACTION * self.parts
         if self.alpha < 0.0:
             self.alpha = 1.0 if large else 0.4
@@ -69,10 +133,10 @@ class RunConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
-        if self.method in _CONV_ONLY and self.model != "gcn":
-            raise ConfigError(f"method {self.method} requires model gcn")
-        if self.method in _REC_ONLY and self.model != "recgcn":
-            raise ConfigError(f"method {self.method} requires model recgcn")
+        families = METHOD_TABLE[self.method].models
+        if self.model not in families:
+            raise ConfigError(f"method {self.method} requires model "
+                              f"{' or '.join(families)}")
         if self.partition not in PARTITIONS:
             raise ConfigError(f"unknown partition kind {self.partition!r}")
         if self.layers < 1:

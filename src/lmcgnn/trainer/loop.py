@@ -8,24 +8,21 @@ at the pre-update parameters.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from ..convnet import (backward_full, forward_full, full_gradients, gd_step,
-                       init_conv_params, loss_full)
-from ..diagnostics import ErrorTrace, _stacked_rel_err, conv_history_errors, rec_history_errors
-from ..engine import (BlendSchedule, ConvHistory, RecHistory,
-                      backward_sgd_grads, cluster_step, gas_conv_step,
-                      gas_rec_step, induced_subgraph, lmc_conv_step,
-                      lmc_rec_step, rec_backward_sgd_grads)
+from ..convnet import (backward_full, forward_full, full_gradients,
+                       init_conv_params)
+from ..diagnostics import ErrorTrace, history_errors
+from ..engine import BlendSchedule, ConvHistory, RecHistory, induced_subgraph
 from ..graph import (epoch_batches, normalized_adjacency, partition_clustered,
                      partition_random, sample_minibatch)
 from ..kernels import matmul, softmax_xent
-from ..recnet import gd_rec_step, init_rec_params, solve_backward, solve_forward
-from ..report import OpCounter, StepReport
-from .config import RunConfig
+from ..recnet import full_rec_gradients, init_rec_params, solve_forward
+from ..report import OpCounter
+from .config import METHOD_TABLE, RunConfig
 from .data import Dataset
 
 Array = np.ndarray
@@ -94,77 +91,20 @@ def _accuracies(cfg, ds, adj, params) -> dict:
 
 def make_step_fn(cfg: RunConfig, ds: Dataset, adj, params, hist,
                  counter: OpCounter | None = None):
-    """Bind the configured method to a (batch, step) -> StepReport closure.
+    """Bind the configured method to a (batch, step) -> StepReport closure
+    through its `METHOD_TABLE` entry.
 
     The full-batch method ignores its batch argument.
     """
-    g, X = ds.graph, np.asarray(ds.X, dtype=np.float64)
-    labels = ds.train_labels
-    n_lab = ds.n_labeled_train
-    lr, tol, mx = cfg.lr, cfg.tol, cfg.max_iter
-    schedule = BlendSchedule(alpha=cfg.alpha, score=cfg.score)
-
-    if cfg.method == "gd":
-        if cfg.model == "gcn":
-            return lambda batch, step: gd_step(adj, X, labels, params, lr,
-                                               step, counter=counter)
-        return lambda batch, step: gd_rec_step(adj, X, labels, params, lr,
-                                               step, tol, mx, counter=counter)
-
-    if cfg.method == "backward-sgd":
-        if cfg.model == "gcn":
-            def step_fn(batch, step):
-                t0 = time.perf_counter()
-                _, dlog, cache = loss_full(adj, X, labels, params)
-                cg = backward_full(adj, cache, dlog, params)
-                loss, grads = backward_sgd_grads(batch, cache, cg, params,
-                                                 labels)
-                params.apply_grads(grads, lr)
-                return StepReport(step=step, loss=loss,
-                                  grad_norm=grads.norm(),
-                                  touched_rows=adj.n * params.n_layers,
-                                  wall_ms=(time.perf_counter() - t0) * 1e3,
-                                  grads=grads)
-        else:
-            def step_fn(batch, step):
-                t0 = time.perf_counter()
-                state = solve_forward(adj, X, params, tol, mx)
-                _, dlog = softmax_xent(matmul(state.H, params.w_out), labels,
-                                       1.0)
-                aux = solve_backward(adj, state,
-                                     matmul(dlog, params.w_out.T), params,
-                                     tol, mx)
-                loss, grads = rec_backward_sgd_grads(batch, X, state, aux,
-                                                     params, labels)
-                params.apply_grads(grads, lr)
-                return StepReport(step=step, loss=loss,
-                                  grad_norm=grads.norm(),
-                                  touched_rows=adj.n,
-                                  wall_ms=(time.perf_counter() - t0) * 1e3,
-                                  fwd_iters=state.iters, bwd_iters=aux.iters,
-                                  grads=grads)
-        return step_fn
-
-    if cfg.method == "lmc-conv":
-        return lambda batch, step: lmc_conv_step(
-            adj, g, X, labels, n_lab, batch, params, hist, schedule, lr,
-            step, counter=counter)
-    if cfg.method == "gas-conv":
-        return lambda batch, step: gas_conv_step(
-            adj, g, X, labels, n_lab, batch, params, hist, lr, step,
-            counter=counter)
-    if cfg.method == "cluster":
-        return lambda batch, step: cluster_step(
-            g, X, labels, batch, params, lr, step, counter=counter)
-    if cfg.method == "lmc-rec":
-        return lambda batch, step: lmc_rec_step(
-            adj, g, X, labels, n_lab, batch, params, hist, lr, step, tol,
-            mx, counter=counter)
-    if cfg.method == "gas-rec":
-        return lambda batch, step: gas_rec_step(
-            adj, g, X, labels, n_lab, batch, params, hist, lr, step, tol,
-            mx, counter=counter)
-    raise ValueError(f"unknown method {cfg.method!r}")
+    if cfg.method not in METHOD_TABLE:
+        raise ValueError(f"unknown method {cfg.method!r}")
+    bound = METHOD_TABLE[cfg.method].steps[cfg.model]
+    s = SimpleNamespace(
+        adj=adj, g=ds.graph, X=np.asarray(ds.X, dtype=np.float64),
+        labels=ds.train_labels, n_labeled=ds.n_labeled_train, params=params,
+        hist=hist, schedule=BlendSchedule(alpha=cfg.alpha, score=cfg.score),
+        lr=cfg.lr, tol=cfg.tol, max_iter=cfg.max_iter, counter=counter)
+    return lambda batch, step: bound(s, batch, step)
 
 
 def _schedule(cfg: RunConfig, ds: Dataset, part, labeled_mask):
@@ -243,25 +183,44 @@ def write_metrics(path: str, rows) -> None:
 # paired diagnostic runs
 
 
-def _cluster_history_errors(ds, adj, batch, params, n_lab):
+def _cluster_history_errors(ds, X, batch, params, cache_e, cg_e):
     """Local embeddings/pullbacks of an induced-subgraph step against the
-    exact full-graph rows on the same core, at matching loss scale."""
-    labels = ds.train_labels
-    sub = induced_subgraph(ds.graph, batch.core)
-    sadj = normalized_adjacency(sub)
-    X = np.asarray(ds.X, dtype=np.float64)
-    cache = forward_full(sadj, X[batch.core], params)
-    n_lc = len(batch.labeled_core)
-    _, dlog = softmax_xent(cache.logits, labels[batch.core],
-                           weight=n_lc / n_lab)
+    exact full-graph rows (cache_e, cg_e) on the same core, at matching loss
+    scale."""
+    core = batch.core
+    sadj = normalized_adjacency(induced_subgraph(ds.graph, core))
+    cache = forward_full(sadj, X[core], params)
+    _, dlog = softmax_xent(cache.logits, ds.train_labels[core],
+                           weight=len(batch.labeled_core) / ds.n_labeled_train)
     cg = backward_full(sadj, cache, dlog, params)
-    _, _, cache_e, cg_e = full_gradients(adj, X, labels, params)
-    L = params.n_layers
-    d_h = _stacked_rel_err([cache.H[l] for l in range(1, L + 1)],
-                           [cache_e.H[l][batch.core] for l in range(1, L + 1)])
-    d_v = _stacked_rel_err([cg.V[l] for l in range(1, L + 1)],
-                           [cg_e.V[l][batch.core] for l in range(1, L + 1)])
-    return d_h, d_v
+    return history_errors(cache.H[1:], cg.V[1:],
+                          [h[core] for h in cache_e.H[1:]],
+                          [v[core] for v in cg_e.V[1:]])
+
+
+def _exact_reference(cfg, ds, adj, batch, params, hist):
+    """Exact full-graph gradients at `params`, and the (d_h, d_v) errors of
+    the step's local state against the same exact solve (nan where the
+    method keeps none)."""
+    X = np.asarray(ds.X, dtype=np.float64)
+    labels = ds.train_labels
+    kept = METHOD_TABLE[cfg.method].history
+    no_errors = (float("nan"), float("nan"))
+    if cfg.model == "gcn":
+        _, _, cache, cg = full_gradients(adj, X, labels, params)
+        if kept:
+            return cg.grads, history_errors(hist.embed[1:], hist.aux[1:],
+                                            cache.H[1:], cg.V[1:])
+        if cfg.method == "cluster":
+            return cg.grads, _cluster_history_errors(ds, X, batch, params,
+                                                     cache, cg)
+        return cg.grads, no_errors
+    _, grads, state, aux = full_rec_gradients(adj, X, labels, params, REF_TOL,
+                                              4 * cfg.max_iter)
+    if kept:
+        return grads, history_errors([hist.embed], [hist.aux], [state.H],
+                                     [aux.V])
+    return grads, no_errors
 
 
 def run_diagnose(cfg: RunConfig, ds: Dataset, method: str) -> ErrorTrace:
@@ -274,8 +233,6 @@ def run_diagnose(cfg: RunConfig, ds: Dataset, method: str) -> ErrorTrace:
     params, hist = init_model(sub_cfg, ds)
     labeled_mask = ds.train_labels >= 0
     step_fn = make_step_fn(sub_cfg, ds, adj, params, hist)
-    labels = ds.train_labels
-    X = np.asarray(ds.X, dtype=np.float64)
 
     trace = ErrorTrace()
     step = 0
@@ -284,32 +241,10 @@ def run_diagnose(cfg: RunConfig, ds: Dataset, method: str) -> ErrorTrace:
             continue
         snap = params.copy()
         rep = step_fn(batch, step)
-        if sub_cfg.model == "gcn":
-            _, _, _, cg_e = full_gradients(adj, X, labels, snap)
-            exact = cg_e.grads
-            if sub_cfg.method == "cluster":
-                d_h, d_v = _cluster_history_errors(ds, adj, batch, snap,
-                                                   ds.n_labeled_train)
-            elif sub_cfg.method in ("lmc-conv", "gas-conv"):
-                d_h, d_v = conv_history_errors(adj, X, labels, snap, hist)
-            else:
-                d_h = d_v = float("nan")
-        else:
-            _, exact, _, _ = _rec_reference(adj, X, labels, snap, cfg)
-            if sub_cfg.method in ("lmc-rec", "gas-rec"):
-                d_h, d_v = rec_history_errors(adj, X, labels, snap, hist,
-                                              REF_TOL, 4 * cfg.max_iter)
-            else:
-                d_h = d_v = float("nan")
+        exact, (d_h, d_v) = _exact_reference(sub_cfg, ds, adj, batch, snap,
+                                             hist)
         trace.append(step=step, loss=rep.loss,
                      grad_rel_err=rep.grads.rel_err(exact), d_h=d_h, d_v=d_v,
                      touched_rows=rep.touched_rows, wall_ms=rep.wall_ms)
         step += 1
     return trace
-
-
-def _rec_reference(adj, X, labels, params, cfg):
-    from ..recnet import full_rec_gradients
-    loss, grads, state, aux = full_rec_gradients(adj, X, labels, params,
-                                                 REF_TOL, 4 * cfg.max_iter)
-    return loss, grads, state, aux

@@ -16,7 +16,7 @@ from lmcgnn.engine import (ZERO_SCHEDULE, BlendSchedule, ConvHistory,
                            gas_conv_step, induced_subgraph, lmc_conv_step)
 from lmcgnn.graph import (Partition, batch_from_parts, build_graph,
                           normalized_adjacency, partition_random)
-from lmcgnn.kernels import softmax_xent
+from lmcgnn.kernels import full_view, softmax_xent
 
 
 def _setup(seed, n=18, L=3, d=3, k=2, parts=6):
@@ -191,6 +191,15 @@ def test_full_batch_collapses_to_gradient_descent():
     assert rep.loss == pytest.approx(rep_gd.loss, rel=1e-13)
     for name, val in rep_gd.grads:
         assert np.max(np.abs(rep.grads[name] - val)) <= 1e-13
+
+
+def test_cluster_step_leaves_parent_view_alone():
+    rng, g, adj, X, labels, params, part = _setup(9)
+    view = full_view(adj)
+    batch = batch_from_parts(g, part, (0,), labeled_mask=labels >= 0)
+    assert batch.n_core < g.n
+    cluster_step(g, X, labels, batch, params, lr=0.1)
+    assert full_view(adj) is view and view.n_targets == g.n
 
 
 def test_cluster_full_batch_equals_gradient_descent():

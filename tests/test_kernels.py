@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dense_adj, path_graph, random_graph
-from lmcgnn.graph import normalized_adjacency
+from lmcgnn.graph import build_graph, normalized_adjacency
 from lmcgnn.kernels import (aggregate, aggregate_listed, aggregate_pruned,
                             build_local_view, fro_norm, full_view,
                             inf_norm_rows, masked_rows, matmul, rel_err, relu,
@@ -126,8 +126,37 @@ def test_full_view_aggregate_matches_dense():
     rng = np.random.default_rng(3)
     adj = normalized_adjacency(random_graph(rng, 15, 0.25))
     H = rng.standard_normal((15, 6))
-    got = aggregate(full_view(adj), H)
-    assert np.max(np.abs(got - dense_adj(adj) @ H)) <= 1e-13
+    first = aggregate(full_view(adj), H)
+    assert np.max(np.abs(first - dense_adj(adj) @ H)) <= 1e-13
+    # later calls reuse the view kept on the adjacency, bit for bit
+    assert full_view(adj) is full_view(adj)
+    assert np.array_equal(aggregate(full_view(adj), H), first)
+
+
+@pytest.mark.parametrize("g", [
+    random_graph(np.random.default_rng(6), 20, 0.2),
+    build_graph(6, [(0, 1), (1, 2), (4, 5)]),     # node 3 is isolated
+    build_graph(3, np.empty((0, 2), dtype=np.int64)),
+])
+def test_full_view_equals_local_view_of_all_nodes(g):
+    adj = normalized_adjacency(g)
+    ids = np.arange(g.n, dtype=np.int64)
+    want, got = build_local_view(adj, ids, ids), full_view(adj)
+    for name in ("targets", "src_indptr", "src_ids", "src_w", "prn_indptr",
+                 "prn_ids", "prn_w"):
+        a, b = getattr(want, name), getattr(got, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_full_view_is_kept_per_adjacency():
+    rng = np.random.default_rng(5)
+    g = random_graph(rng, 12, 0.3)
+    a, b = normalized_adjacency(g), normalized_adjacency(g)
+    c = normalized_adjacency(path_graph(7))
+    views = [full_view(a), full_view(b), full_view(c)]
+    assert len({id(v) for v in views}) == 3
+    assert [v.n_targets for v in views] == [12, 12, 7]
+    assert full_view(a) is views[0] and full_view(c) is views[2]
 
 
 def test_local_view_with_fallback_matches_dense():
