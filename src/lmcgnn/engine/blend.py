@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph import Graph, MiniBatch
+from ..graph import Graph, MiniBatch, _csr_gather, _lookup
 
 Array = np.ndarray
 
@@ -51,15 +51,10 @@ def blend_weights(batch: MiniBatch, g: Graph, schedule: BlendSchedule) -> Array:
     """Per-halo1-node beta vector, in halo1 order."""
     if schedule.alpha == 0.0 or len(batch.halo1) == 0:
         return np.zeros(len(batch.halo1))
-    inside = np.concatenate([batch.core, batch.halo1])  # sorted blocks
-    inside = np.sort(inside)
-    x = np.empty(len(batch.halo1))
-    for k, node in enumerate(batch.halo1):
-        nbrs = g.neighbors(int(node))
-        pos = np.searchsorted(inside, nbrs)
-        pos_c = np.minimum(pos, len(inside) - 1)
-        local = int(np.sum(inside[pos_c] == nbrs))
-        x[k] = local / len(nbrs)
+    inside = np.sort(np.concatenate([batch.core, batch.halo1]))
+    pos, seg, ptr = _csr_gather(g.indptr, batch.halo1)
+    _, hit = _lookup(inside, g.indices[pos])
+    x = np.bincount(seg[hit], minlength=len(batch.halo1)) / np.diff(ptr)
     beta = _score(schedule.score, x) * schedule.alpha
     return np.clip(beta, 0.0, 1.0)
 

@@ -27,7 +27,8 @@ import numpy as np
 from ..convnet import (ConvGrads, ConvParams, ForwardCache, backward_full,
                        count_full_pass, forward_full, full_gradients)
 from ..gradset import GradSet
-from ..graph import Graph, MiniBatch, NormalizedAdjacency, build_graph, normalized_adjacency
+from ..graph import (Graph, MiniBatch, NormalizedAdjacency, _csr_gather,
+                     _lookup, _row_pointer, normalized_adjacency)
 from ..kernels import (LocalAdjView, aggregate, build_local_view, masked_rows,
                        matmul, relu, relu_mask, softmax_xent)
 from ..report import OpCounter, StepReport, training_step
@@ -196,17 +197,13 @@ def gas_conv_step(adj: NormalizedAdjacency, g: Graph, X: Array, labels: Array,
 
 
 def induced_subgraph(g: Graph, core: Array):
-    """Core-induced subgraph with nodes relabeled 0..|core|-1."""
-    edges = []
-    for local, u in enumerate(core):
-        nbrs = g.neighbors(int(u))
-        pos = np.searchsorted(core, nbrs)
-        pos_c = np.minimum(pos, len(core) - 1)
-        keep = core[pos_c] == nbrs
-        for q in pos[keep]:
-            if local < q:
-                edges.append((local, int(q)))
-    return build_graph(len(core), np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    """Core-induced subgraph with nodes relabeled 0..|core|-1 (core sorted).
+
+    The kept CSR entries of the core rows already form the subgraph's CSR:
+    rows in core order, relabeled neighbors ascending inside each row."""
+    pos, seg, _ = _csr_gather(g.indptr, core)
+    local, keep = _lookup(core, g.indices[pos])
+    return Graph(len(core), _row_pointer(seg[keep], len(core)), local[keep])
 
 
 @training_step

@@ -19,6 +19,43 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _csr_gather(indptr: Array, rows: Array):
+    """Locate the CSR entries of `rows`, in the given row order.
+
+    Returns (pos, seg, ptr): pos holds the flat positions of the entries,
+    row after row and CSR order inside each row; seg[k] is the index into
+    `rows` of the row entry k belongs to; ptr is the segment pointer
+    (entries of rows[i] are pos[ptr[i]:ptr[i+1]]).  Rows need not be
+    sorted or unique.  The cost is linear in len(rows) plus the entries
+    gathered; nothing is sized by the node count.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    seg = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
+    pos = np.arange(ptr[-1], dtype=np.int64) + (starts - ptr[:-1])[seg]
+    return pos, seg, ptr
+
+
+def _lookup(pool, ids: Array):
+    """Positions of `ids` in the sorted id `pool` (None counts as empty) and
+    whether each id is there."""
+    if pool is None or len(pool) == 0:
+        return np.zeros(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=bool)
+    pool = np.asarray(pool, dtype=np.int64)
+    at = np.searchsorted(pool, ids)
+    return at, pool[np.minimum(at, len(pool) - 1)] == ids
+
+
+def _row_pointer(row: Array, n_rows: int) -> Array:
+    """CSR row pointer of entries tagged with their (ascending) row ids."""
+    ptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n_rows), out=ptr[1:])
+    return ptr
+
+
 # ---------------------------------------------------------------------------
 # graph container
 
@@ -54,10 +91,8 @@ class Graph:
     def neighbors_of(self, nodes: Array) -> Array:
         """Sorted unique union of N(v) over the given nodes (self excluded
         unless reached through an edge)."""
-        if len(nodes) == 0:
-            return np.empty(0, dtype=np.int64)
-        parts = [self.indices[self.indptr[u]:self.indptr[u + 1]] for u in nodes]
-        return np.unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
+        pos, _, _ = _csr_gather(self.indptr, nodes)
+        return np.unique(self.indices[pos])
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -83,10 +118,7 @@ def build_graph(n: int, edges) -> Graph:
         dst = np.concatenate([e[:, 1], e[:, 0]])
         order = np.lexsort((dst, src))
         src, dst = src[order], dst[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        indptr = np.cumsum(indptr)
-        return Graph(n, indptr, dst.astype(np.int64))
+        return Graph(n, _row_pointer(src, n), dst)
     return Graph(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
@@ -152,13 +184,6 @@ class NormalizedAdjacency:
             starts = self.indptr[:-1][nonempty]
             out[nonempty] += np.add.reduceat(prod, starts)
         return out
-
-    def row_entries(self, i: int):
-        """Self-loop entry first, then CSR-ordered neighbors."""
-        s, e = self.indptr[i], self.indptr[i + 1]
-        ids = np.concatenate(([i], self.indices[s:e]))
-        w = np.concatenate(([self.diag[i]], self.weights[s:e]))
-        return ids, w
 
 
 def normalized_adjacency(g: Graph) -> NormalizedAdjacency:
@@ -311,11 +336,9 @@ def partition_clustered(g: Graph, B: int, seed) -> Partition:
 
 def cut_edges(g: Graph, p: Partition) -> int:
     """Number of edges whose endpoints land in different parts."""
-    count = 0
-    for u in range(g.n):
-        nbrs = g.neighbors(u)
-        count += int(np.sum(p.part_of[nbrs[nbrs > u]] != p.part_of[u]))
-    return count
+    _, src, _ = _csr_gather(g.indptr, np.arange(g.n))
+    up = src < g.indices
+    return int(np.count_nonzero(p.part_of[src[up]] != p.part_of[g.indices[up]]))
 
 
 def save_partition(p: Partition, path) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NormalizedAdjacency
+from .graph import NormalizedAdjacency, _csr_gather, _lookup, _row_pointer
 
 Array = np.ndarray
 
@@ -138,45 +138,34 @@ def build_local_view(adj: NormalizedAdjacency, targets, source_ids,
     """Restrict adj rows to `targets`, resolving neighbors against the sorted
     id pools `source_ids` (listed) and `fallback_ids` (pruned).
 
-    Neighbors in neither pool are recorded as pruned with id -1; aggregate
-    refuses to resolve them against a fallback matrix, they can only be
-    dropped.  Both pools must be sorted ascending (positions become local
-    row ids).
+    Both pools must be sorted ascending (positions become local row ids);
+    targets may come in any order.  Per target the entries keep the order
+    of A+I: self-loop first, then CSR order, and listed and pruned entries
+    keep their relative order inside each row.  Neighbors in neither pool
+    are recorded as pruned with id -1; aggregate refuses to resolve them
+    against a fallback matrix, they can only be dropped.  All target rows
+    are gathered at once; no array is sized by the node count.
     """
     targets = np.asarray(targets, dtype=np.int64)
     source_ids = np.asarray(source_ids, dtype=np.int64)
-    fb = None if fallback_ids is None else np.asarray(fallback_ids, dtype=np.int64)
+    pos, seg, ptr = _csr_gather(adj.indptr, targets)
+    # A+I rows: the self-loop of target t sits just before its CSR entries
+    n_t = len(targets)
+    self_at = ptr[:-1] + np.arange(n_t, dtype=np.int64)
+    nbr_at = np.arange(len(pos), dtype=np.int64) + seg + 1
+    ids = np.empty(len(pos) + n_t, dtype=np.int64)
+    w = np.empty(len(pos) + n_t, dtype=np.float64)
+    ids[self_at], w[self_at] = targets, adj.diag[targets]
+    ids[nbr_at], w[nbr_at] = adj.indices[pos], adj.weights[pos]
+    row = np.repeat(np.arange(n_t, dtype=np.int64), np.diff(ptr) + 1)
 
-    src_indptr = np.zeros(len(targets) + 1, dtype=np.int64)
-    prn_indptr = np.zeros(len(targets) + 1, dtype=np.int64)
-    src_ids_out, src_w_out, prn_ids_out, prn_w_out = [], [], [], []
-    for t, node in enumerate(targets):
-        ids, w = adj.row_entries(int(node))
-        pos = np.searchsorted(source_ids, ids)
-        pos_c = np.minimum(pos, len(source_ids) - 1) if len(source_ids) else pos * 0
-        listed = (len(source_ids) > 0) & (source_ids[pos_c] == ids) if len(source_ids) \
-            else np.zeros(len(ids), dtype=bool)
-        src_ids_out.append(pos[listed])
-        src_w_out.append(w[listed])
-        rest_ids, rest_w = ids[~listed], w[~listed]
-        if fb is not None and len(fb):
-            fpos = np.searchsorted(fb, rest_ids)
-            fpos_c = np.minimum(fpos, len(fb) - 1)
-            infb = fb[fpos_c] == rest_ids
-            resolved = np.where(infb, fpos, -1)
-        else:
-            resolved = np.full(len(rest_ids), -1, dtype=np.int64)
-        prn_ids_out.append(resolved)
-        prn_w_out.append(rest_w)
-        src_indptr[t + 1] = src_indptr[t] + int(listed.sum())
-        prn_indptr[t + 1] = prn_indptr[t] + len(rest_ids)
-
-    cat = lambda chunks, dt: (np.concatenate(chunks).astype(dt) if chunks
-                              else np.empty(0, dtype=dt))
+    src_pos, listed = _lookup(source_ids, ids)
+    pruned = ~listed
+    fb_pos, in_fb = _lookup(fallback_ids, ids[pruned])
     return LocalAdjView(
         targets,
-        src_indptr, cat(src_ids_out, np.int64), cat(src_w_out, np.float64),
-        prn_indptr, cat(prn_ids_out, np.int64), cat(prn_w_out, np.float64),
+        _row_pointer(row[listed], n_t), src_pos[listed], w[listed],
+        _row_pointer(row[pruned], n_t), np.where(in_fb, fb_pos, -1), w[pruned],
     )
 
 
@@ -247,27 +236,11 @@ def aggregate_pruned(view: LocalAdjView, fallback_rows: Array,
 
 
 def full_view(adj: NormalizedAdjacency) -> LocalAdjView:
-    """View with every node as target and every node listed; aggregate on it
-    equals the dense normalized product.  Built on the first call for an
-    adjacency and kept on it, so later calls return the same object.
-
-    Equals build_local_view(adj, ids, ids) for ids = 0..n-1, but is read
-    off the CSR arrays without a Python loop over rows: row i holds its
-    self-loop at src_indptr[i] and its CSR neighbors after it."""
+    """build_local_view(adj, ids, ids) for ids = 0..n-1: every node is a
+    target and every neighbor is listed, so aggregate on it equals the dense
+    normalized product.  Built on the first call for an adjacency and kept
+    on it, so later calls return the same object."""
     if adj.full_view_memo is None:
-        n = adj.n
-        indptr = np.asarray(adj.indptr, dtype=np.int64)
-        rows = np.arange(n, dtype=np.int64)
-        src_indptr = indptr + np.arange(n + 1, dtype=np.int64)
-        nbr_pos = (np.arange(indptr[-1], dtype=np.int64)
-                   + np.repeat(rows, np.diff(indptr)) + 1)
-        src_ids = np.empty(src_indptr[-1], dtype=np.int64)
-        src_w = np.empty(src_indptr[-1], dtype=np.float64)
-        src_ids[src_indptr[:-1]] = rows
-        src_w[src_indptr[:-1]] = adj.diag
-        src_ids[nbr_pos] = adj.indices
-        src_w[nbr_pos] = adj.weights
-        adj.full_view_memo = LocalAdjView(
-            rows, src_indptr, src_ids, src_w, np.zeros(n + 1, dtype=np.int64),
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+        ids = np.arange(adj.n, dtype=np.int64)
+        adj.full_view_memo = build_local_view(adj, ids, ids)
     return adj.full_view_memo

@@ -18,7 +18,8 @@ from ..engine.blend import SCORE_KINDS
 @dataclass(frozen=True)
 class Method:
     """A training method: the model families it trains, whether it keeps
-    history caches, and how it binds its step function.
+    history caches, whether it steps on the full graph (one step per epoch,
+    no batches), and how it binds its step function.
 
     A bound step is called as step(s, batch, step_index), where `s` carries
     what `trainer.loop.make_step_fn` binds: adj, g, X, labels, n_labeled,
@@ -30,6 +31,7 @@ class Method:
 
     history: bool   # keeps history caches, which checkpoints save
     steps: dict     # model family -> bound step
+    full_batch: bool = False  # one step per epoch on the full graph
 
     @property
     def models(self) -> tuple:
@@ -44,7 +46,7 @@ METHOD_TABLE = {
         "recgcn": lambda s, batch, step: recnet.gd_rec_step(
             s.adj, s.X, s.labels, s.params, s.lr, step, s.tol, s.max_iter,
             counter=s.counter),
-    }),
+    }, full_batch=True),
     "backward-sgd": Method(False, {
         "gcn": lambda s, batch, step: conv.backward_sgd_step(
             s.adj, s.X, s.labels, batch, s.params, s.lr, step,

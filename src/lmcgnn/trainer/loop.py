@@ -112,7 +112,7 @@ def _schedule(cfg: RunConfig, ds: Dataset, part, labeled_mask):
 
     Full-batch descent takes one step per epoch; the batch is unused.
     """
-    if cfg.method == "gd":
+    if METHOD_TABLE[cfg.method].full_batch:
         for epoch in range(cfg.epochs):
             yield epoch, None
         return

@@ -1,9 +1,12 @@
-"""Shared helpers: tiny graph builders and a dense mirror of the
-normalized adjacency, used as an independent oracle for the sparse
-aggregation paths."""
+"""Shared helpers: tiny graph builders, a dense mirror of the normalized
+adjacency (an independent oracle for the sparse aggregation paths), and
+per-node loop versions of the vectorized graph slicing, which the tests
+compare against array for array."""
 import numpy as np
 
+from lmcgnn.engine.blend import _score
 from lmcgnn.graph import NormalizedAdjacency, build_graph
+from lmcgnn.kernels import LocalAdjView
 
 
 def path_edges(n):
@@ -38,3 +41,113 @@ def random_graph(rng, n, p_edge):
             if rng.random() < p_edge:
                 edges.add((u, v))
     return build_graph(n, sorted(edges))
+
+
+def sparse_graph(rng, n, p_edge):
+    """Bernoulli edges only: may leave isolated nodes, or no edge at all."""
+    u, v = np.triu_indices(n, 1)
+    keep = rng.random(u.size) < p_edge
+    return build_graph(n, np.stack([u[keep], v[keep]], axis=1))
+
+
+# ---------------------------------------------------------------------------
+# loop reference implementations of the vectorized graph slicing
+
+
+def ref_row_entries(adj: NormalizedAdjacency, i: int):
+    """Row i of A+I: self-loop entry first, then CSR-ordered neighbors."""
+    s, e = adj.indptr[i], adj.indptr[i + 1]
+    ids = np.concatenate(([i], adj.indices[s:e]))
+    w = np.concatenate(([adj.diag[i]], adj.weights[s:e]))
+    return ids, w
+
+
+def ref_build_local_view(adj, targets, source_ids, fallback_ids=None):
+    """One Python iteration per target row; same contract as
+    kernels.build_local_view."""
+    targets = np.asarray(targets, dtype=np.int64)
+    source_ids = np.asarray(source_ids, dtype=np.int64)
+    fb = None if fallback_ids is None else np.asarray(fallback_ids, dtype=np.int64)
+
+    src_indptr = np.zeros(len(targets) + 1, dtype=np.int64)
+    prn_indptr = np.zeros(len(targets) + 1, dtype=np.int64)
+    src_ids_out, src_w_out, prn_ids_out, prn_w_out = [], [], [], []
+    for t, node in enumerate(targets):
+        ids, w = ref_row_entries(adj, int(node))
+        pos = np.searchsorted(source_ids, ids)
+        pos_c = np.minimum(pos, len(source_ids) - 1) if len(source_ids) else pos * 0
+        listed = (len(source_ids) > 0) & (source_ids[pos_c] == ids) if len(source_ids) \
+            else np.zeros(len(ids), dtype=bool)
+        src_ids_out.append(pos[listed])
+        src_w_out.append(w[listed])
+        rest_ids, rest_w = ids[~listed], w[~listed]
+        if fb is not None and len(fb):
+            fpos = np.searchsorted(fb, rest_ids)
+            fpos_c = np.minimum(fpos, len(fb) - 1)
+            infb = fb[fpos_c] == rest_ids
+            resolved = np.where(infb, fpos, -1)
+        else:
+            resolved = np.full(len(rest_ids), -1, dtype=np.int64)
+        prn_ids_out.append(resolved)
+        prn_w_out.append(rest_w)
+        src_indptr[t + 1] = src_indptr[t] + int(listed.sum())
+        prn_indptr[t + 1] = prn_indptr[t] + len(rest_ids)
+
+    cat = lambda chunks, dt: (np.concatenate(chunks).astype(dt) if chunks
+                              else np.empty(0, dtype=dt))
+    return LocalAdjView(
+        targets,
+        src_indptr, cat(src_ids_out, np.int64), cat(src_w_out, np.float64),
+        prn_indptr, cat(prn_ids_out, np.int64), cat(prn_w_out, np.float64),
+    )
+
+
+def ref_blend_weights(batch, g, schedule):
+    """One Python iteration per halo node; same contract as
+    engine.blend.blend_weights."""
+    if schedule.alpha == 0.0 or len(batch.halo1) == 0:
+        return np.zeros(len(batch.halo1))
+    inside = np.sort(np.concatenate([batch.core, batch.halo1]))
+    x = np.empty(len(batch.halo1))
+    for k, node in enumerate(batch.halo1):
+        nbrs = g.neighbors(int(node))
+        pos = np.searchsorted(inside, nbrs)
+        pos_c = np.minimum(pos, len(inside) - 1)
+        local = int(np.sum(inside[pos_c] == nbrs))
+        x[k] = local / len(nbrs)
+    beta = _score(schedule.score, x) * schedule.alpha
+    return np.clip(beta, 0.0, 1.0)
+
+
+def ref_neighbors_of(g, nodes):
+    if len(nodes) == 0:
+        return np.empty(0, dtype=np.int64)
+    return np.unique(np.concatenate([g.neighbors(u) for u in nodes]))
+
+
+def ref_induced_subgraph(g, core):
+    edges = []
+    for local, u in enumerate(core):
+        nbrs = g.neighbors(int(u))
+        pos = np.searchsorted(core, nbrs)
+        pos_c = np.minimum(pos, len(core) - 1)
+        keep = core[pos_c] == nbrs
+        for q in pos[keep]:
+            if local < q:
+                edges.append((local, int(q)))
+    return build_graph(len(core), np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+
+
+def ref_cut_edges(g, p):
+    count = 0
+    for u in range(g.n):
+        nbrs = g.neighbors(u)
+        count += int(np.sum(p.part_of[nbrs[nbrs > u]] != p.part_of[u]))
+    return count
+
+
+def assert_same_arrays(want, got, names):
+    """Array for array and dtype for dtype equality of named attributes."""
+    for name in names:
+        a, b = getattr(want, name), getattr(got, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name

@@ -8,10 +8,12 @@ read or unintended write shows up as a mismatch.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import clique_edges, dense_adj, path_graph, random_graph
+from conftest import (clique_edges, dense_adj, path_graph, random_graph,
+                      ref_blend_weights, ref_induced_subgraph, sparse_graph)
 from lmcgnn.convnet import full_gradients, gd_step, init_conv_params, loss_full, backward_full
-from lmcgnn.engine import (ZERO_SCHEDULE, BlendSchedule, ConvHistory,
+from lmcgnn.engine import (SCORE_KINDS, ZERO_SCHEDULE, BlendSchedule, ConvHistory,
                            backward_sgd_grads, blend_weights, cluster_step,
                            gas_conv_step, induced_subgraph, lmc_conv_step)
 from lmcgnn.graph import (Partition, batch_from_parts, build_graph,
@@ -242,6 +244,29 @@ def test_blend_weights_path_example():
     assert blend_weights(batch, g, BlendSchedule(0.4, "one")).tolist() == \
         [pytest.approx(0.4)]
     assert blend_weights(batch, g, ZERO_SCHEDULE).tolist() == [0.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 25),
+       st.sampled_from([0.0, 0.1, 0.4]), st.integers(1, 3),
+       st.sampled_from([0.0, 0.4, 1.0]))
+def test_blend_weights_and_induced_subgraph_equal_loop_reference(
+        seed, n, p_edge, c, alpha):
+    rng = np.random.default_rng(seed)
+    g = sparse_graph(rng, n, p_edge)
+    part = partition_random(g, min(4, n), seed=rng)
+    ids = np.sort(rng.permutation(part.B)[: min(c, part.B)])
+    batch = batch_from_parts(g, part, ids)
+    for score in SCORE_KINDS:
+        schedule = BlendSchedule(alpha, score)
+        want = ref_blend_weights(batch, g, schedule)
+        got = blend_weights(batch, g, schedule)
+        assert want.dtype == got.dtype and np.array_equal(want, got), score
+    want, got = ref_induced_subgraph(g, batch.core), induced_subgraph(g, batch.core)
+    assert want.n == got.n
+    for name in ("indptr", "indices"):
+        a, b = getattr(want, name), getattr(got, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_blend_schedule_validation():

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import clique_edges, dense_adj, path_graph, random_graph
+from conftest import (clique_edges, dense_adj, path_graph, random_graph,
+                      ref_cut_edges, ref_neighbors_of, sparse_graph)
+from lmcgnn.kernels import build_local_view
 from lmcgnn.graph import (Partition, batch_from_parts, build_graph, cut_edges,
                           epoch_batches, load_partition, normalized_adjacency,
                           partition_clustered, partition_random,
@@ -65,7 +67,8 @@ def test_normalized_path3_entries():
     # degrees 1,2,1; weight(u,v) = 1/sqrt((d_u+1)(d_v+1))
     adj = normalized_adjacency(path_graph(3))
     assert adj.diag == pytest.approx([0.5, 1.0 / 3.0, 0.5], abs=1e-15)
-    ids, w = adj.row_entries(0)
+    view = build_local_view(adj, [0], [0, 1])
+    ids, w = view.src_ids, view.src_w  # positions in [0, 1] are node ids
     assert ids[0] == 0  # self entry first
     assert w[0] == pytest.approx(0.5, abs=1e-15)
     assert ids[1] == 1
@@ -124,6 +127,20 @@ def test_partition_clustered_two_cliques_zero_cut():
     p = partition_clustered(g, 2, seed=0)
     assert cut_edges(g, p) == 0
     assert sorted(len(part) for part in p.parts) == [5, 5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 25),
+       st.sampled_from([0.0, 0.1, 0.4]), st.integers(1, 6))
+def test_cut_edges_and_neighbors_of_equal_loop_reference(seed, n, p_edge, B):
+    rng = np.random.default_rng(seed)
+    g = sparse_graph(rng, n, p_edge)
+    p = partition_random(g, min(B, n), seed=rng)
+    assert cut_edges(g, p) == ref_cut_edges(g, p)
+    for nodes in (rng.permutation(n)[: rng.integers(0, n + 1)],
+                  np.empty(0, dtype=np.int64)):
+        want, got = ref_neighbors_of(g, nodes), g.neighbors_of(nodes)
+        assert want.dtype == got.dtype and np.array_equal(want, got)
 
 
 def test_partition_clustered_respects_cap():

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_adj, path_graph, random_graph
+from conftest import (assert_same_arrays, dense_adj, path_graph, random_graph,
+                      ref_build_local_view, sparse_graph)
 from lmcgnn.graph import build_graph, normalized_adjacency
 from lmcgnn.kernels import (aggregate, aggregate_listed, aggregate_pruned,
                             build_local_view, fro_norm, full_view,
@@ -133,19 +134,21 @@ def test_full_view_aggregate_matches_dense():
     assert np.array_equal(aggregate(full_view(adj), H), first)
 
 
+VIEW_ARRAYS = ("targets", "src_indptr", "src_ids", "src_w", "prn_indptr",
+               "prn_ids", "prn_w")
+
+
 @pytest.mark.parametrize("g", [
     random_graph(np.random.default_rng(6), 20, 0.2),
     build_graph(6, [(0, 1), (1, 2), (4, 5)]),     # node 3 is isolated
     build_graph(3, np.empty((0, 2), dtype=np.int64)),
+    build_graph(1, np.empty((0, 2), dtype=np.int64)),
 ])
 def test_full_view_equals_local_view_of_all_nodes(g):
     adj = normalized_adjacency(g)
     ids = np.arange(g.n, dtype=np.int64)
-    want, got = build_local_view(adj, ids, ids), full_view(adj)
-    for name in ("targets", "src_indptr", "src_ids", "src_w", "prn_indptr",
-                 "prn_ids", "prn_w"):
-        a, b = getattr(want, name), getattr(got, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert_same_arrays(ref_build_local_view(adj, ids, ids), full_view(adj),
+                       VIEW_ARRAYS)
 
 
 def test_full_view_is_kept_per_adjacency():
@@ -217,3 +220,31 @@ def test_local_view_consistency(seed, n, d):
     view = build_local_view(adj, targets, sources, fallback_ids=np.arange(n))
     got = aggregate(view, H[sources], H)  # fallback indexed over all nodes
     assert np.max(np.abs(got - D[targets] @ H)) <= 1e-12
+
+
+def _pool(rng, n, kind):
+    """A sorted id pool: empty, everything, or a random subset."""
+    if kind == "empty":
+        return np.empty(0, dtype=np.int64)
+    if kind == "all":
+        return np.arange(n, dtype=np.int64)
+    return np.sort(rng.permutation(n)[: rng.integers(0, n + 1)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 18),
+       st.sampled_from([0.0, 0.1, 0.3]),
+       st.sampled_from(["empty", "all", "subset"]),
+       st.sampled_from(["none", "empty", "all", "subset"]))
+def test_local_view_equals_loop_reference(seed, n, p_edge, src_kind, fb_kind):
+    """The vectorized gather builds the loop's view array for array, dtypes
+    included: isolated nodes and edgeless graphs, unsorted targets (core,
+    then halo), empty pools, and neighbors in neither pool (id -1)."""
+    rng = np.random.default_rng(seed)
+    adj = normalized_adjacency(sparse_graph(rng, n, p_edge))
+    targets = rng.permutation(n)[: rng.integers(0, n + 1)]
+    sources = _pool(rng, n, src_kind)
+    fallback = None if fb_kind == "none" else _pool(rng, n, fb_kind)
+    assert_same_arrays(ref_build_local_view(adj, targets, sources, fallback),
+                       build_local_view(adj, targets, sources, fallback),
+                       VIEW_ARRAYS)
