@@ -26,8 +26,8 @@ from .gradset import GradSet
 from .graph import (Graph, MiniBatch, NormalizedAdjacency, Partition,
                     batch_from_parts, build_graph, cut_edges, epoch_batches,
                     normalized_adjacency, partition_clustered,
-                    partition_random, read_edge_list, sample_minibatch,
-                    spectral_radius)
+                    partition_random, read_edge_list, sample_minibatch)
+from .kernels import spectral_radius
 from .recnet import (RecParams, SolverDiverged, SolverStalled,
                      full_rec_gradients, gd_rec_step, init_rec_params,
                      project_wellposed, solve_backward, solve_forward)

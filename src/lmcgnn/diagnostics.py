@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convnet import ConvParams, full_gradients, init_conv_params
+from .convnet import full_gradients, init_conv_params
 from .gradset import GradSet
-from .graph import Graph, NormalizedAdjacency, Partition, batch_from_parts, build_graph, normalized_adjacency
+from .graph import Graph, Partition, batch_from_parts, build_graph, normalized_adjacency
 from .kernels import fro_norm
-from .recnet import (DEFAULT_MAX_ITER, RecParams, full_rec_gradients,
-                     init_rec_params)
+from .recnet import DEFAULT_MAX_ITER, full_rec_gradients, init_rec_params
 
 Array = np.ndarray
 
@@ -190,22 +189,6 @@ class ErrorTrace:
                 w.writerow({k: repr(row[k]) if isinstance(row[k], float)
                             else row[k] for k in self.COLUMNS})
 
-    @classmethod
-    def read_csv(cls, path) -> "ErrorTrace":
-        trace = cls()
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            for rec in csv.DictReader(fh):
-                trace.rows.append({
-                    "step": int(rec["step"]),
-                    "loss": float(rec["loss"]),
-                    "grad_rel_err": float(rec["grad_rel_err"]),
-                    "d_h": float(rec["d_h"]),
-                    "d_v": float(rec["d_v"]),
-                    "touched_rows": int(rec["touched_rows"]),
-                    "wall_ms": float(rec["wall_ms"]),
-                })
-        return trace
-
 
 def _stacked_rel_err(approx_list, exact_list) -> float:
     num = math.sqrt(sum(fro_norm(a - e) ** 2 for a, e in zip(approx_list, exact_list)))
@@ -220,18 +203,3 @@ def history_errors(embed, aux, embed_exact, aux_exact) -> tuple:
     pullback rows against their exact values."""
     return (_stacked_rel_err(embed, embed_exact),
             _stacked_rel_err(aux, aux_exact))
-
-
-def conv_history_errors(adj: NormalizedAdjacency, X: Array, labels: Array,
-                        params: ConvParams, hist) -> tuple:
-    """(d_h, d_v) of a layered history against the exact full-batch values
-    at the current parameters."""
-    _, _, cache, cg = full_gradients(adj, X, labels, params)
-    return history_errors(hist.embed[1:], hist.aux[1:], cache.H[1:], cg.V[1:])
-
-
-def rec_history_errors(adj: NormalizedAdjacency, X: Array, labels: Array,
-                       params: RecParams, hist, tol: float,
-                       max_iter: int = DEFAULT_MAX_ITER) -> tuple:
-    _, _, state, aux = full_rec_gradients(adj, X, labels, params, tol, max_iter)
-    return history_errors([hist.embed], [hist.aux], [state.H], [aux.V])

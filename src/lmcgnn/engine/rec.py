@@ -30,8 +30,8 @@ from ..kernels import (aggregate, aggregate_listed, aggregate_pruned,
                        build_local_view, masked_rows, matmul, relu,
                        softmax_xent)
 from ..recnet import (DEFAULT_MAX_ITER, DEFAULT_TOL, RecAux, RecParams,
-                      RecState, count_full_solve, picard_backward,
-                      picard_forward, solve_backward, solve_forward)
+                      RecState, count_full_solve, picard, picard_forward,
+                      solve_backward, solve_forward)
 from ..report import OpCounter, StepReport, training_step
 from .history import RecHistory
 
@@ -108,9 +108,10 @@ def lmc_rec_step(adj: NormalizedAdjacency, g: Graph, X: Array, labels: Array,
     _, dlog_hat = softmax_xent(logits_hat, lab_core,
                                weight=n_lc / n_labeled_total)
     const = c_bwd + matmul(dlog_hat, params.w_out.T)
-    v_hat, bwd_res, bwd_iters, _ = picard_backward(
-        lambda rows: aggregate_listed(core_view, rows), params.W.T, const,
-        mask_hat, hist.aux[core], tol, max_iter, True, "batch adjoint solve")
+    v_hat, bwd_res, bwd_iters, _ = picard(
+        lambda v: matmul(aggregate_listed(core_view, masked_rows(mask_hat, v)),
+                         params.W.T) + const,
+        hist.aux[core], tol, max_iter, True, "batch adjoint solve")
     counter.agg_targets += bwd_iters * core_view.n_targets
     counter.agg_entries += bwd_iters * core_view.n_listed
 

@@ -175,16 +175,6 @@ class NormalizedAdjacency:
     full_view_memo: object = field(default=None, init=False, repr=False,
                                    compare=False)
 
-    def matvec(self, x: Array) -> Array:
-        out = self.diag * x
-        if self.indices.size:
-            prod = self.weights * x[self.indices]
-            counts = np.diff(self.indptr)
-            nonempty = counts > 0
-            starts = self.indptr[:-1][nonempty]
-            out[nonempty] += np.add.reduceat(prod, starts)
-        return out
-
 
 def normalized_adjacency(g: Graph) -> NormalizedAdjacency:
     deg = g.degrees.astype(np.float64)
@@ -192,26 +182,6 @@ def normalized_adjacency(g: Graph) -> NormalizedAdjacency:
     weights = inv[np.repeat(np.arange(g.n), np.diff(g.indptr))] * inv[g.indices]
     diag = inv * inv
     return NormalizedAdjacency(g.n, g.indptr.copy(), g.indices.copy(), weights, diag)
-
-
-def spectral_radius(adj: NormalizedAdjacency, iters: int = 500):
-    """Power-iteration estimate of the dominant eigenvalue.
-
-    Returns (value, residual) where residual = ||A x - value * x||_2 for the
-    final unit iterate.  The start vector is all-ones, which has positive
-    overlap with the Perron vector of a nonnegative operator.
-    """
-    x = np.full(adj.n, 1.0 / np.sqrt(adj.n))
-    lam = 0.0
-    for _ in range(iters):
-        y = adj.matvec(x)
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            return 0.0, 0.0
-        x = y / norm
-        lam = float(x @ adj.matvec(x))
-    resid = float(np.linalg.norm(adj.matvec(x) - lam * x))
-    return lam, resid
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +357,6 @@ class MiniBatch:
     labeled_core   the labeled subset of core (sorted)
     w_loss     B * |labeled_core| / (c * |labeled total|)
     w_grad     B * |core| / (c * n)
-    The local id of a node is its position in concat(core, halo1, halo2).
     """
 
     part_ids: tuple
@@ -397,10 +366,6 @@ class MiniBatch:
     labeled_core: Array
     w_loss: float
     w_grad: float
-    nodes: Array = field(init=False)
-
-    def __post_init__(self):
-        self.nodes = np.concatenate([self.core, self.halo1, self.halo2])
 
     @property
     def n_core(self) -> int:

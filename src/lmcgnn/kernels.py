@@ -1,10 +1,12 @@
 """Dense numeric kernels with pinned operand layouts and summation order.
 
-Embedding matrices are node-major: row i is node i's vector.  The aggregate
-kernel consumes LocalAdjView objects that freeze, per target row, the exact
-entry order of the weighted sum (self-loop first, then CSR neighbor order),
-so that full-batch and mini-batch code paths reduce in the same order and
-repeated runs are bit-identical.
+Embedding matrices are node-major: row i is node i's vector.  Every product
+with the normalized operator, batch-local or full-graph, goes through one
+summation kernel, `_segment_sum`, on a LocalAdjView: the view freezes, per
+target row, the exact entry order of the weighted sum (self-loop first,
+then CSR neighbor order), so full-batch and mini-batch code paths reduce in
+the same order and repeated runs are bit-identical.  The power iteration
+`spectral_radius` applies the operator the same way.
 """
 from __future__ import annotations
 
@@ -33,12 +35,6 @@ def relu(z: Array) -> Array:
 def relu_mask(z: Array) -> Array:
     """Subgradient mask with the z = 0 branch set to 0."""
     return z > 0.0
-
-
-def relu_backward(z: Array, grad: Array) -> Array:
-    """Mask an incoming pullback through relu; exact zeros (never -0.0)
-    where the unit was inactive."""
-    return np.where(z > 0.0, grad, 0.0)
 
 
 def masked_rows(mask: Array, rows: Array) -> Array:
@@ -169,14 +165,18 @@ def build_local_view(adj: NormalizedAdjacency, targets, source_ids,
     )
 
 
-def _segment_sum(prod: Array, indptr: Array, out: Array) -> Array:
-    """Row-segment sums in fixed left-to-right order (reduceat is sequential
-    inside each segment).  Empty segments stay zero."""
-    counts = np.diff(indptr)
-    nonempty = counts > 0
-    if prod.shape[0]:
-        starts = indptr[:-1][nonempty]
-        out[nonempty] += np.add.reduceat(prod, starts, axis=0)
+def _segment_sum(indptr: Array, ids: Array, w: Array, rows: Array) -> Array:
+    """The one summation kernel: out[t] = sum_k w[k] * rows[ids[k]] over the
+    entries k of segment t (indptr[t]:indptr[t+1]), into a fresh zeroed
+    array.  All segments are reduced by one add.reduceat over the entries
+    in view order, so every path that sums a row of the operator sums it
+    the same way.  Empty segments stay zero."""
+    rows = np.asarray(rows, dtype=np.float64)
+    out = np.zeros((len(indptr) - 1, rows.shape[1]))
+    if ids.size:
+        nonempty = indptr[:-1] < indptr[1:]
+        out[nonempty] += np.add.reduceat(w[:, None] * rows[ids],
+                                         indptr[:-1][nonempty], axis=0)
     return out
 
 
@@ -185,54 +185,32 @@ def aggregate(view: LocalAdjView, source_rows: Array,
               drop_pruned: bool = False) -> Array:
     """Weighted neighborhood sums for every view target.
 
-    out[t] = sum_listed w * source_rows[id] + sum_pruned w * fallback_rows[id].
-    Pruned entries are dropped when no fallback is given, which must be
-    acknowledged with drop_pruned=True.
+    out[t] = sum_listed w * source_rows[id] + sum_pruned w * fallback_rows[id],
+    the listed sum first.  Pruned entries are dropped when no fallback is
+    given, which must be acknowledged with drop_pruned=True.
     """
-    source_rows = np.asarray(source_rows, dtype=np.float64)
-    d = source_rows.shape[1]
-    out = np.zeros((view.n_targets, d))
-    _segment_sum(view.src_w[:, None] * source_rows[view.src_ids],
-                 view.src_indptr, out)
-    if view.n_pruned:
-        if fallback_rows is None:
-            if not drop_pruned:
-                raise ValueError(
-                    "view has pruned neighbors; pass fallback_rows or "
-                    "drop_pruned=True")
-        else:
-            if np.any(view.prn_ids < 0):
-                raise ValueError("pruned neighbor outside the fallback pool")
-            out = aggregate_pruned(view, fallback_rows, out=out)
+    if view.n_pruned and fallback_rows is None and not drop_pruned:
+        raise ValueError("view has pruned neighbors; pass fallback_rows or "
+                         "drop_pruned=True")
+    out = _segment_sum(view.src_indptr, view.src_ids, view.src_w, source_rows)
+    if view.n_pruned and fallback_rows is not None:
+        out += aggregate_pruned(view, fallback_rows)
     return out
 
 
 def aggregate_listed(view: LocalAdjView, source_rows: Array) -> Array:
     """Listed-pool part of aggregate only (pruned neighbors ignored)."""
-    source_rows = np.asarray(source_rows, dtype=np.float64)
-    out = np.zeros((view.n_targets, source_rows.shape[1]))
-    return _segment_sum(view.src_w[:, None] * source_rows[view.src_ids],
-                        view.src_indptr, out)
+    return _segment_sum(view.src_indptr, view.src_ids, view.src_w,
+                        source_rows)
 
 
-def aggregate_pruned(view: LocalAdjView, fallback_rows: Array,
-                     out: Array | None = None) -> Array:
-    """Pruned-pool part of aggregate only (compensation terms)."""
-    fallback_rows = np.asarray(fallback_rows, dtype=np.float64)
-    if out is None:
-        out = np.zeros((view.n_targets, fallback_rows.shape[1]))
-    if view.n_pruned:
-        ids = view.prn_ids
-        keep = ids >= 0
-        if keep.all():
-            prod = view.prn_w[:, None] * fallback_rows[ids]
-            _segment_sum(prod, view.prn_indptr, out)
-        else:
-            prod = np.where(keep[:, None],
-                            view.prn_w[:, None] * fallback_rows[np.maximum(ids, 0)],
-                            0.0)
-            _segment_sum(prod, view.prn_indptr, out)
-    return out
+def aggregate_pruned(view: LocalAdjView, fallback_rows: Array) -> Array:
+    """Pruned-pool part of aggregate only (compensation terms).  Every
+    pruned neighbor must sit in the view's fallback pool."""
+    if np.any(view.prn_ids < 0):
+        raise ValueError("pruned neighbor outside the fallback pool")
+    return _segment_sum(view.prn_indptr, view.prn_ids, view.prn_w,
+                        fallback_rows)
 
 
 def full_view(adj: NormalizedAdjacency) -> LocalAdjView:
@@ -244,3 +222,25 @@ def full_view(adj: NormalizedAdjacency) -> LocalAdjView:
         ids = np.arange(adj.n, dtype=np.int64)
         adj.full_view_memo = build_local_view(adj, ids, ids)
     return adj.full_view_memo
+
+
+def spectral_radius(adj: NormalizedAdjacency, iters: int = 500):
+    """Power-iteration estimate of the dominant eigenvalue of the operator,
+    applied as aggregate on its full view.
+
+    Returns (value, residual) where residual = ||A x - value * x||_2 for the
+    final unit iterate.  The start vector is all-ones, which has positive
+    overlap with the Perron vector of a nonnegative operator.
+    """
+    view = full_view(adj)
+    x = np.full((adj.n, 1), 1.0 / np.sqrt(adj.n))
+    lam = 0.0
+    for _ in range(iters):
+        y = aggregate(view, x)
+        norm = float(np.linalg.norm(y))
+        if norm == 0.0:
+            return 0.0, 0.0
+        x = y / norm
+        lam = float(np.vdot(x, aggregate(view, x)))
+    resid = float(np.linalg.norm(aggregate(view, x) - lam * x))
+    return lam, resid

@@ -21,9 +21,10 @@ after which the implicit gradients are local expressions in (H*, Z*, V*):
     dc = column sums of (relu'(Z*) o V*)
     dW_out = H*^T dlogits.
 
-The raw iterations live in picard_forward/picard_backward so that the
-full-graph solvers here and the batch-local solvers in the training engine
-share one residual definition: ||x_{k+1} - x_k||_F / (1 + ||x_k||_F).
+Every solve, forward or adjoint, full-graph here or batch-local in the
+training engine, runs the one loop `picard` with one residual definition:
+||x_{k+1} - x_k||_F / (1 + ||x_k||_F).  `picard_forward` adds the forward
+solves' epilogue, (Z, A H) at the returned H.
 """
 from __future__ import annotations
 
@@ -139,6 +140,32 @@ def _relative_residual(new: Array, old: Array) -> float:
     return fro_norm(new - old) / (1.0 + fro_norm(old))
 
 
+def picard(step_fn, warm: Array, tol: float, max_iter: int,
+           raise_on_stall: bool, what: str):
+    """The one fixed-point loop: iterate x <- step_fn(x) from `warm` until
+    the relative residual is at most tol.
+
+    Returns (x, residuals, iters, converged).  Raises SolverDiverged on a
+    non-finite iterate, and SolverStalled on a miss when raise_on_stall."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    x = np.array(warm, dtype=np.float64)
+    residuals = []
+    for k in range(max_iter):
+        x_new = step_fn(x)
+        if not np.all(np.isfinite(x_new)):
+            raise SolverDiverged(f"{what}: iterate not finite at iter {k}")
+        residuals.append(_relative_residual(x_new, x))
+        x = x_new
+        if residuals[-1] <= tol:
+            return x, residuals, k + 1, True
+    if raise_on_stall:
+        raise SolverStalled(
+            f"{what}: residual {residuals[-1]:.3e} > tol {tol:.1e} "
+            f"after {max_iter} iterations")
+    return x, residuals, max_iter, False
+
+
 def picard_forward(agg_fn, W: Array, bias: Array, warm: Array, tol: float,
                    max_iter: int, raise_on_stall: bool, what: str):
     """Iterate H <- relu(agg_fn(H) @ W + bias) from `warm`.
@@ -146,60 +173,11 @@ def picard_forward(agg_fn, W: Array, bias: Array, warm: Array, tol: float,
     Returns (H, Z, aggH, residuals, iters, converged) with Z and aggH
     evaluated at the returned H, so (H, Z) is a consistent linearization
     point for the adjoint pass."""
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    H = np.array(warm, dtype=np.float64)
-    residuals = []
+    H, residuals, iters, converged = picard(
+        lambda cur: relu(matmul(agg_fn(cur), W) + bias), warm, tol,
+        max_iter, raise_on_stall, what)
     agg = agg_fn(H)
-    Z = matmul(agg, W) + bias
-    converged = False
-    iters = 0
-    for k in range(max_iter):
-        H_new = relu(Z)
-        if not np.all(np.isfinite(H_new)):
-            raise SolverDiverged(f"{what}: iterate not finite at iter {k}")
-        r = _relative_residual(H_new, H)
-        residuals.append(r)
-        H = H_new
-        iters = k + 1
-        agg = agg_fn(H)
-        Z = matmul(agg, W) + bias
-        if r <= tol:
-            converged = True
-            break
-    if not converged and raise_on_stall:
-        raise SolverStalled(
-            f"{what}: residual {residuals[-1]:.3e} > tol {tol:.1e} "
-            f"after {max_iter} iterations")
-    return H, Z, agg, residuals, iters, converged
-
-
-def picard_backward(aggm_fn, W_t: Array, const: Array, mask: Array,
-                    warm: Array, tol: float, max_iter: int,
-                    raise_on_stall: bool, what: str):
-    """Iterate V <- aggm_fn(mask o V) @ W_t + const from `warm`."""
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    V = np.array(warm, dtype=np.float64)
-    residuals = []
-    converged = False
-    iters = 0
-    for k in range(max_iter):
-        V_new = matmul(aggm_fn(masked_rows(mask, V)), W_t) + const
-        if not np.all(np.isfinite(V_new)):
-            raise SolverDiverged(f"{what}: iterate not finite at iter {k}")
-        r = _relative_residual(V_new, V)
-        residuals.append(r)
-        V = V_new
-        iters = k + 1
-        if r <= tol:
-            converged = True
-            break
-    if not converged and raise_on_stall:
-        raise SolverStalled(
-            f"{what}: residual {residuals[-1]:.3e} > tol {tol:.1e} "
-            f"after {max_iter} iterations")
-    return V, residuals, iters, converged
+    return H, matmul(agg, W) + bias, agg, residuals, iters, converged
 
 
 def solve_forward(adj: NormalizedAdjacency, X: Array, params: RecParams,
@@ -227,9 +205,11 @@ def solve_backward(adj: NormalizedAdjacency, state: RecState, dH: Array,
     semantics as the forward solve)."""
     view = full_view(adj)
     warm = np.zeros_like(dH) if warm_start is None else warm_start
-    V, residuals, iters, converged = picard_backward(
-        lambda rows: aggregate(view, rows), params.W.T, dH, state.mask, warm,
-        tol, max_iter, raise_on_stall, "backward solve")
+    mask = state.mask
+    V, residuals, iters, converged = picard(
+        lambda v: matmul(aggregate(view, masked_rows(mask, v)), params.W.T)
+        + dH,
+        warm, tol, max_iter, raise_on_stall, "backward solve")
     return RecAux(V, residuals, iters, converged)
 
 

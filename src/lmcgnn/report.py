@@ -54,20 +54,6 @@ class StepReport:
     bwd_iters: int | None = None
     grads: object | None = None  # estimator GradSet, never serialized
 
-    def to_record(self) -> dict:
-        rec = {
-            "step": self.step,
-            "loss": self.loss,
-            "grad_norm": self.grad_norm,
-            "touched_rows": self.touched_rows,
-            "wall_ms": self.wall_ms,
-        }
-        for key in ("fwd_iters", "bwd_iters"):
-            val = getattr(self, key)
-            if val is not None:
-                rec[key] = val
-        return rec
-
 
 def training_step(body):
     """Decorate a step body with what every training step shares.

@@ -116,7 +116,7 @@ class RunConfig:
     kappa: float = 0.95
     tol: float = 1e-8
     max_iter: int = 500
-    eval_every: int = 1
+    eval_every: int = 1        # epochs between full-graph evaluations
 
     def finalize(self) -> "RunConfig":
         """Fill inferred fields, then validate.  Returns self."""

@@ -2,9 +2,11 @@
 
 The loop owns model init, the partition, the batch schedule, metric rows,
 and full-graph evaluation.  One metrics row is written per optimization
-step.  Diagnostic runs additionally compare every step's gradient
-estimate and history state against exact full-graph references computed
-at the pre-update parameters.
+step and carries the latest evaluation; the model is evaluated before the
+first step, after the last step of every `eval_every`-th epoch and after
+the last step.  Diagnostic runs additionally compare every step's
+gradient estimate and history state against exact full-graph references
+computed at the pre-update parameters.
 """
 from __future__ import annotations
 
@@ -138,17 +140,30 @@ def run_training(cfg: RunConfig, ds: Dataset, on_step=None) -> TrainResult:
 
     rows = []
     skipped = 0
-    accs = _accuracies(cfg, ds, adj, params)
+
+    def evaluate() -> dict:
+        """Full-graph accuracies at the current parameters, written into
+        the row of the step that produced them."""
+        accs = _accuracies(cfg, ds, adj, params)
+        if rows:
+            rows[-1]["train_acc"] = accs["train"]
+            rows[-1]["val_acc"] = accs["val"]
+        return accs
+
+    accs = evaluate()
     step = 0
+    last_epoch = 0
     for epoch, batch in _schedule(cfg, ds, part, labeled_mask):
+        # an epoch that completes a multiple of eval_every epochs has ended
+        if epoch // cfg.eval_every > last_epoch // cfg.eval_every:
+            accs = evaluate()
+        last_epoch = epoch
         if batch is not None and len(batch.labeled_core) == 0:
             skipped += 1
             continue
         rep = step_fn(batch, step)
         if not np.isfinite(rep.loss):
             raise NumericAbort(f"non-finite loss at step {step}")
-        if step % cfg.eval_every == 0:
-            accs = _accuracies(cfg, ds, adj, params)
         rows.append({"epoch": epoch, "step": step, "loss": rep.loss,
                      "train_acc": accs["train"], "val_acc": accs["val"],
                      "grad_norm": rep.grad_norm, "fwd_iters": rep.fwd_iters,
@@ -156,11 +171,7 @@ def run_training(cfg: RunConfig, ds: Dataset, on_step=None) -> TrainResult:
         if on_step is not None:
             on_step(rep)
         step += 1
-    accs = _accuracies(cfg, ds, adj, params)
-    if rows:
-        rows[-1]["train_acc"] = accs["train"]
-        rows[-1]["val_acc"] = accs["val"]
-    return TrainResult(params, hist, rows, accs, skipped)
+    return TrainResult(params, hist, rows, evaluate(), skipped)
 
 
 def write_metrics(path: str, rows) -> None:

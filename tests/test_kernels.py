@@ -1,15 +1,19 @@
 """Dense kernels, loss, and sparse aggregation tests."""
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (assert_same_arrays, dense_adj, path_graph, random_graph,
                       ref_build_local_view, sparse_graph)
+import lmcgnn
 from lmcgnn.graph import build_graph, normalized_adjacency
 from lmcgnn.kernels import (aggregate, aggregate_listed, aggregate_pruned,
                             build_local_view, fro_norm, full_view,
                             inf_norm_rows, masked_rows, matmul, rel_err, relu,
-                            relu_backward, relu_mask, softmax_xent)
+                            relu_mask, softmax_xent)
 
 # ---------------------------------------------------------------------------
 # dense primitives
@@ -38,7 +42,6 @@ def test_relu_family_zero_subgradient():
     # the kink uses the zero branch: mask is strict positivity
     assert relu_mask(z).tolist() == [[False, False, True]]
     up = np.array([[5.0, 5.0, 5.0]])
-    assert relu_backward(z, up).tolist() == [[0.0, 0.0, 5.0]]
     assert masked_rows(relu_mask(z), up).tolist() == [[0.0, 0.0, 5.0]]
 
 
@@ -203,13 +206,16 @@ def test_aggregate_requires_fallback_when_pruned():
         aggregate(view, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="outside the fallback pool"):
         aggregate(view, np.zeros((2, 2)), np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="outside the fallback pool"):
+        aggregate_pruned(view, np.zeros((0, 2)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(5, 20), st.integers(1, 5))
 def test_local_view_consistency(seed, n, d):
     """Any target/source split agrees with the dense product once the
-    pruned part is supplied from the full matrix."""
+    pruned part is supplied from the full matrix, and aggregate is bit for
+    bit the listed sum plus the pruned sum."""
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n, 0.25)
     adj = normalized_adjacency(g)
@@ -220,6 +226,8 @@ def test_local_view_consistency(seed, n, d):
     view = build_local_view(adj, targets, sources, fallback_ids=np.arange(n))
     got = aggregate(view, H[sources], H)  # fallback indexed over all nodes
     assert np.max(np.abs(got - D[targets] @ H)) <= 1e-12
+    split = aggregate_listed(view, H[sources]) + aggregate_pruned(view, H)
+    assert got.tobytes() == split.tobytes()
 
 
 def _pool(rng, n, kind):
@@ -248,3 +256,14 @@ def test_local_view_equals_loop_reference(seed, n, p_edge, src_kind, fb_kind):
     assert_same_arrays(ref_build_local_view(adj, targets, sources, fallback),
                        build_local_view(adj, targets, sources, fallback),
                        VIEW_ARRAYS)
+
+
+def test_operator_has_one_summation_kernel():
+    """Every sum over a row of the operator goes through
+    kernels._segment_sum: the package calls reduceat in one place only."""
+    root = pathlib.Path(lmcgnn.__file__).parent
+    calls = {str(p.relative_to(root)): len(re.findall(r"\breduceat\(",
+                                                     p.read_text()))
+             for p in sorted(root.rglob("*.py"))}
+    assert sum(calls.values()) == 1, calls
+    assert calls["kernels.py"] == 1

@@ -9,6 +9,7 @@ from lmcgnn.trainer.checkpoint import (CheckpointError, load_checkpoint,
                                        save_checkpoint)
 from lmcgnn.trainer.config import (METHODS, MODELS, ConfigError, RunConfig,
                                    build_config, parse_config_file)
+from lmcgnn.trainer import loop
 from lmcgnn.trainer.data import gen_two_cluster
 from lmcgnn.trainer.loop import (METRIC_COLUMNS, NumericAbort, TrainResult,
                                  init_model, make_step_fn, predict,
@@ -256,12 +257,27 @@ def test_singleton_parts_skip_unlabeled_batches():
     assert res.skipped == 24 - n_labeled
 
 
-def test_eval_every_holds_accuracies_between_refreshes():
+def test_eval_every_holds_accuracies_between_refreshes(monkeypatch):
     ds = gen_two_cluster(60, 3, seed=3)
     res = run_training(_cfg(epochs=3, eval_every=3), ds)
     rows = res.rows
     assert rows[1]["train_acc"] == rows[0]["train_acc"]
     assert rows[1]["val_acc"] == rows[0]["val_acc"]
+    # eval_every counts epochs: with 2 steps per epoch and eval_every=2 the
+    # model is evaluated before step 0, after the last step of epoch 1 and
+    # after the last step; each row carries the latest evaluation
+    calls = []
+
+    def numbered(*args):
+        calls.append(len(calls))
+        return {"train": calls[-1], "val": calls[-1], "test": calls[-1]}
+
+    monkeypatch.setattr(loop, "_accuracies", numbered)
+    res = run_training(_cfg(epochs=3, eval_every=2), ds)
+    assert [r["epoch"] for r in res.rows] == [0, 0, 1, 1, 2, 2]
+    assert [r["train_acc"] for r in res.rows] == [0, 0, 0, 1, 1, 2]
+    assert [r["val_acc"] for r in res.rows] == [0, 0, 0, 1, 1, 2]
+    assert res.accs["val"] == 2 and len(calls) == 3
 
 
 def test_iid_sampling_runs_requested_steps():
