@@ -112,22 +112,32 @@ class ConvGrads:
     V: list  # V[l] for l = 1..L (index 0 unused)
 
 
+def contract_conv_grads(agg: list, masked: list, h_top: Array,
+                        dlogits: Array, scale: float) -> GradSet:
+    """The gradient contractions of every estimator: W^l gets
+    scale * agg[l]^T masked[l] for l = 1..L (index 0 unused), W_out gets
+    h_top^T dlogits, never scaled."""
+    blocks = {f"W{l}": matmul(agg[l].T, masked[l]) * scale
+              for l in range(1, len(agg))}
+    blocks["Wout"] = matmul(h_top.T, dlogits)
+    return GradSet(blocks)
+
+
 def backward_full(adj: NormalizedAdjacency, cache: ForwardCache,
                   dlogits: Array, params: ConvParams) -> ConvGrads:
     view = full_view(adj)
     L = params.n_layers
-    blocks = {"Wout": matmul(cache.H[L].T, dlogits)}
     V = [None] * (L + 1)
+    masked = [None] * (L + 1)
     V[L] = matmul(dlogits, params.w_out.T)
     for l in range(L, 0, -1):
-        m = masked_rows(cache.mask[l], V[l])
-        blocks[f"W{l}"] = matmul(cache.agg[l].T, m)
+        masked[l] = masked_rows(cache.mask[l], V[l])
         if l > 1:
             # V^{l-1} = A (mask^l o V^l) W^{l,T}; weights[l-1] is W^l
-            V[l - 1] = matmul(aggregate(view, m), params.weights[l - 1].T)
-    ordered = {f"W{l + 1}": blocks[f"W{l + 1}"] for l in range(L)}
-    ordered["Wout"] = blocks["Wout"]
-    return ConvGrads(GradSet(ordered), V)
+            V[l - 1] = matmul(aggregate(view, masked[l]),
+                              params.weights[l - 1].T)
+    grads = contract_conv_grads(cache.agg, masked, cache.H[L], dlogits, 1.0)
+    return ConvGrads(grads, V)
 
 
 def full_gradients(adj: NormalizedAdjacency, X: Array, labels: Array,

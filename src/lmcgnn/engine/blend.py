@@ -51,7 +51,7 @@ def blend_weights(batch: MiniBatch, g: Graph, schedule: BlendSchedule) -> Array:
     """Per-halo1-node beta vector, in halo1 order."""
     if schedule.alpha == 0.0 or len(batch.halo1) == 0:
         return np.zeros(len(batch.halo1))
-    inside = np.sort(np.concatenate([batch.core, batch.halo1]))
+    inside = np.concatenate([batch.core, batch.halo1])
     pos, seg, ptr = _csr_gather(g.indptr, batch.halo1)
     _, hit = _lookup(inside, g.indices[pos])
     x = np.bincount(seg[hit], minlength=len(batch.halo1)) / np.diff(ptr)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..convnet import (ConvGrads, ConvParams, ForwardCache, backward_full,
-                       count_full_pass, forward_full, full_gradients)
-from ..gradset import GradSet
+                       contract_conv_grads, count_full_pass, forward_full,
+                       full_gradients)
 from ..graph import (Graph, MiniBatch, NormalizedAdjacency, _csr_gather,
                      _lookup, _row_pointer, normalized_adjacency)
 from ..kernels import (LocalAdjView, aggregate, build_local_view, masked_rows,
@@ -43,30 +43,15 @@ class ConvBatchContext:
     """Per-batch structures shared by forward and backward."""
 
     batch: MiniBatch
-    view: LocalAdjView          # targets = core then halo1, sources = union
+    view: LocalAdjView          # targets = sources = core then halo1
     beta: Array                 # blend weights in halo1 order
-    inside: Array               # sorted core + halo1 (source pool order)
-    pos_core: Array             # positions of core rows inside the pool
-    pos_halo: Array
 
 
 def build_conv_context(adj: NormalizedAdjacency, g: Graph, batch: MiniBatch,
                        schedule: BlendSchedule) -> ConvBatchContext:
-    inside = np.union1d(batch.core, batch.halo1)
-    targets = np.concatenate([batch.core, batch.halo1])
-    view = build_local_view(adj, targets, inside)
-    beta = blend_weights(batch, g, schedule)
-    pos_core = np.searchsorted(inside, batch.core)
-    pos_halo = np.searchsorted(inside, batch.halo1)
-    return ConvBatchContext(batch, view, beta, inside, pos_core, pos_halo)
-
-
-def _pool(ctx: ConvBatchContext, core_rows: Array, halo_rows: Array) -> Array:
-    """Arrange core/halo row blocks into source-pool (sorted id) order."""
-    out = np.empty((len(ctx.inside), core_rows.shape[1]))
-    out[ctx.pos_core] = core_rows
-    out[ctx.pos_halo] = halo_rows
-    return out
+    inside = np.concatenate([batch.core, batch.halo1])
+    view = build_local_view(adj, inside, inside)
+    return ConvBatchContext(batch, view, blend_weights(batch, g, schedule))
 
 
 @dataclass
@@ -90,7 +75,8 @@ def lmc_conv_forward(ctx: ConvBatchContext, X: Array, params: ConvParams,
     mask_core = [None]
     mask_halo = [None]
     for l in range(1, L + 1):
-        agg = aggregate(view, _pool(ctx, core_rows, halo_rows), drop_pruned=True)
+        agg = aggregate(view, np.concatenate([core_rows, halo_rows]),
+                        drop_pruned=True)
         counter.count_view(view)
         w = params.weights[l - 1]
         z_core = matmul(agg[:nc], w)
@@ -135,7 +121,8 @@ def lmc_conv_backward(ctx: ConvBatchContext, params: ConvParams,
             m_halo = np.zeros_like(vhat)
         else:
             m_halo = masked_rows(cache.mask_halo[l + 1], vhat)
-        agg = aggregate(view, _pool(ctx, m_core, m_halo), drop_pruned=True)
+        agg = aggregate(view, np.concatenate([m_core, m_halo]),
+                        drop_pruned=True)
         counter.count_view(view)
         w_next = params.weights[l]  # W^{l+1}
         v_core = matmul(agg[:nc], w_next.T)
@@ -175,14 +162,10 @@ def lmc_conv_step(adj: NormalizedAdjacency, g: Graph, X: Array, labels: Array,
     _, dlog_hist = softmax_xent(logits, lab_core, weight=n_lc / n_labeled_total)
     masked = lmc_conv_backward(ctx, params, hist, cache, dlog_hist, counter,
                                zero_comp=zero_backward)
-    scale = batch.w_grad * (adj.n / nc)
-    blocks = {}
-    for l in range(1, L + 1):
-        gl = matmul(cache.agg_core[l].T, masked[l])
-        blocks[f"W{l}"] = gl * scale
-    blocks["Wout"] = matmul(h_top.T, dlog_mb)
+    grads = contract_conv_grads(cache.agg_core, masked, h_top, dlog_mb,
+                                batch.w_grad * (adj.n / nc))
     hist.last_refresh[batch.core] = step
-    return loss, GradSet(blocks)
+    return loss, grads
 
 
 def gas_conv_step(adj: NormalizedAdjacency, g: Graph, X: Array, labels: Array,
@@ -237,13 +220,11 @@ def backward_sgd_grads(batch: MiniBatch, cache: ForwardCache, cg: ConvGrads,
     L = params.n_layers
     loss, dlog_mb = softmax_xent(cache.logits[core], _batch_labels(labels, batch),
                                  weight=batch.w_loss)
-    scale = batch.w_grad * (n / batch.n_core)
-    blocks = {}
-    for l in range(1, L + 1):
-        m = masked_rows(cache.mask[l][core], cg.V[l][core])
-        blocks[f"W{l}"] = matmul(cache.agg[l][core].T, m) * scale
-    blocks["Wout"] = matmul(cache.H[L][core].T, dlog_mb)
-    return loss, GradSet(blocks)
+    agg = [None] + [cache.agg[l][core] for l in range(1, L + 1)]
+    masked = [None] + [masked_rows(cache.mask[l][core], cg.V[l][core])
+                       for l in range(1, L + 1)]
+    return loss, contract_conv_grads(agg, masked, cache.H[L][core], dlog_mb,
+                                     batch.w_grad * (n / batch.n_core))
 
 
 @training_step

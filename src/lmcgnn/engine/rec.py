@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..gradset import GradSet
 from ..graph import Graph, MiniBatch, NormalizedAdjacency
 from ..kernels import (aggregate, aggregate_listed, aggregate_pruned,
                        build_local_view, masked_rows, matmul, relu,
                        softmax_xent)
 from ..recnet import (DEFAULT_MAX_ITER, DEFAULT_TOL, RecAux, RecParams,
-                      RecState, count_full_solve, picard, picard_forward,
-                      solve_backward, solve_forward)
+                      RecState, contract_rec_grads, count_full_solve, picard,
+                      picard_forward, solve_backward, solve_forward)
 from ..report import OpCounter, StepReport, training_step
 from .history import RecHistory
 
@@ -54,7 +53,7 @@ def lmc_rec_step(adj: NormalizedAdjacency, g: Graph, X: Array, labels: Array,
     if n_lc == 0:
         raise ValueError("batch has no labeled core nodes")
 
-    inside = np.union1d(core, halo1)
+    inside = np.concatenate([core, halo1])
     refresh_view = build_local_view(adj, core, inside)
     core_view = build_local_view(adj, core, core, fallback_ids=halo1)
     bias_core = matmul(X[core], params.P) + params.c
@@ -93,7 +92,7 @@ def lmc_rec_step(adj: NormalizedAdjacency, g: Graph, X: Array, labels: Array,
     if zero_backward:
         c_bwd = np.zeros((nc, params.dim))
     else:
-        union_h12 = np.union1d(halo1, halo2)
+        union_h12 = np.concatenate([halo1, halo2])
         halo_view = build_local_view(adj, halo1, core, fallback_ids=union_h12)
         z_halo = (matmul(aggregate(halo_view, h_hat, hist.embed[union_h12]),
                          params.W)
@@ -116,15 +115,9 @@ def lmc_rec_step(adj: NormalizedAdjacency, g: Graph, X: Array, labels: Array,
     counter.agg_entries += bwd_iters * core_view.n_listed
 
     # (e) reweighted gradients at the solved pair
-    m_hat = masked_rows(mask_hat, v_hat)
-    agg_h = agg_listed_h + c_fwd
-    scale = batch.w_grad * (adj.n / nc)
-    grads = GradSet({
-        "W": matmul(agg_h.T, m_hat) * scale,
-        "P": matmul(X[core].T, m_hat) * scale,
-        "c": m_hat.sum(axis=0) * scale,
-        "Wout": matmul(h_hat.T, dlog_mb),
-    })
+    grads = contract_rec_grads(agg_listed_h + c_fwd, X[core],
+                               masked_rows(mask_hat, v_hat), h_hat, dlog_mb,
+                               batch.w_grad * (adj.n / nc))
     hist.last_refresh[core] = step
     return loss, grads, fwd_iters, bwd_iters
 
@@ -153,14 +146,10 @@ def rec_backward_sgd_grads(batch: MiniBatch, X: Array, state: RecState,
     labels = np.asarray(labels, dtype=np.int64)
     loss, dlog_mb = softmax_xent(matmul(state.H[core], params.w_out),
                                  labels[core], weight=batch.w_loss)
-    m = masked_rows(state.mask[core], aux.V[core])
-    scale = batch.w_grad * (n / batch.n_core)
-    return loss, GradSet({
-        "W": matmul(state.agg[core].T, m) * scale,
-        "P": matmul(np.asarray(X, dtype=np.float64)[core].T, m) * scale,
-        "c": m.sum(axis=0) * scale,
-        "Wout": matmul(state.H[core].T, dlog_mb),
-    })
+    return loss, contract_rec_grads(
+        state.agg[core], np.asarray(X, dtype=np.float64)[core],
+        masked_rows(state.mask[core], aux.V[core]), state.H[core], dlog_mb,
+        batch.w_grad * (n / batch.n_core))
 
 
 @training_step

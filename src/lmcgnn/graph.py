@@ -1,12 +1,14 @@
 """Graph storage, symmetric normalization, partitioning, and mini-batch sampling.
 
-Undirected simple graphs in CSR form, node ids 0..n-1.  Self loops are never
-stored; the normalized operator injects them.  All float work is float64 and
-all id arrays are int64 so that runs are reproducible bit for bit.
+Undirected simple graphs in CSR form, node ids 0..n-1, without self loops.
+The normalized operator stores the rows of A+I instead: each row's self-loop
+first, then its neighbors in CSR order, the order every sum over the row
+uses.  All float work is float64 and all id arrays are int64 so that runs
+are reproducible bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,13 +42,15 @@ def _csr_gather(indptr: Array, rows: Array):
 
 
 def _lookup(pool, ids: Array):
-    """Positions of `ids` in the sorted id `pool` (None counts as empty) and
-    whether each id is there."""
+    """Positions of `ids` in the id `pool` (any order, no repeats; None
+    counts as empty) and whether each id is there."""
     if pool is None or len(pool) == 0:
         return np.zeros(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=bool)
     pool = np.asarray(pool, dtype=np.int64)
-    at = np.searchsorted(pool, ids)
-    return at, pool[np.minimum(at, len(pool) - 1)] == ids
+    order = np.argsort(pool, kind="stable")
+    ranked = pool[order]
+    at = np.minimum(np.searchsorted(ranked, ids), len(pool) - 1)
+    return order[at], ranked[at] == ids
 
 
 def _row_pointer(row: Array, n_rows: int) -> Array:
@@ -158,30 +162,26 @@ def write_edge_list(g: Graph, path) -> None:
 
 @dataclass
 class NormalizedAdjacency:
-    """(D+I)^(-1/2) (A+I) (D+I)^(-1/2) in CSR form.
+    """(D+I)^(-1/2) (A+I) (D+I)^(-1/2) in CSR form, in summation order.
 
-    Off-diagonal entries follow the Graph CSR layout; the self-loop weights
-    live in `diag`.  Entries are 1/sqrt((d_i+1)(d_j+1)); the Perron value of
-    the operator is 1 on every graph.
+    Row i holds its self-loop first, then the Graph's CSR neighbors of i in
+    order.  Entries are 1/sqrt((d_i+1)(d_j+1)); the Perron value of the
+    operator is 1 on every graph.  The arrays are never changed after the
+    operator is built.
     """
 
     n: int
     indptr: Array
     indices: Array
     weights: Array
-    diag: Array
-    # Set by kernels.full_view.  The operator is never changed after it is
-    # built, so the view stays valid for the adjacency's lifetime.
-    full_view_memo: object = field(default=None, init=False, repr=False,
-                                   compare=False)
 
 
 def normalized_adjacency(g: Graph) -> NormalizedAdjacency:
-    deg = g.degrees.astype(np.float64)
-    inv = 1.0 / np.sqrt(deg + 1.0)
-    weights = inv[np.repeat(np.arange(g.n), np.diff(g.indptr))] * inv[g.indices]
-    diag = inv * inv
-    return NormalizedAdjacency(g.n, g.indptr.copy(), g.indices.copy(), weights, diag)
+    inv = 1.0 / np.sqrt(g.degrees.astype(np.float64) + 1.0)
+    indptr = g.indptr + np.arange(g.n + 1, dtype=np.int64)
+    row = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr))
+    indices = np.insert(g.indices, g.indptr[:-1], np.arange(g.n, dtype=np.int64))
+    return NormalizedAdjacency(g.n, indptr, indices, inv[row] * inv[indices])
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +333,7 @@ def load_partition(path) -> Partition:
     ids = np.array([r[0] for r in rows], dtype=np.int64)
     assign = np.array([r[1] for r in rows], dtype=np.int64)
     n = int(ids.max()) + 1
-    if np.unique(ids).size != n or ids.size != n:
+    if ids.min() != 0 or np.unique(ids).size != n or ids.size != n:
         raise ValueError(f"{path}: node ids must cover 0..n-1 exactly once")
     part_of = np.empty(n, dtype=np.int64)
     part_of[ids] = assign
@@ -381,7 +381,8 @@ def batch_from_parts(g: Graph, p: Partition, part_ids, labeled_mask=None) -> Min
     nb_core = g.neighbors_of(core)
     halo1 = np.setdiff1d(nb_core, core, assume_unique=True)
     nb_halo = g.neighbors_of(halo1)
-    halo2 = np.setdiff1d(nb_halo, np.union1d(core, halo1))
+    halo2 = np.setdiff1d(nb_halo, np.concatenate([core, halo1]),
+                         assume_unique=True)
     n = g.n
     c = len(part_ids)
     if labeled_mask is None:

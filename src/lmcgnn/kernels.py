@@ -2,10 +2,10 @@
 
 Embedding matrices are node-major: row i is node i's vector.  Every product
 with the normalized operator, batch-local or full-graph, goes through one
-summation kernel, `_segment_sum`, on a LocalAdjView: the view freezes, per
-target row, the exact entry order of the weighted sum (self-loop first,
-then CSR neighbor order), so full-batch and mini-batch code paths reduce in
-the same order and repeated runs are bit-identical.  The power iteration
+summation kernel, `_segment_sum`, on a LocalAdjView: the view keeps, per
+target row, the operator's stored entry order (self-loop first, then CSR
+neighbor order), so full-batch and mini-batch code paths reduce in the same
+order and repeated runs are bit-identical.  The power iteration
 `spectral_radius` applies the operator the same way.
 """
 from __future__ import annotations
@@ -131,33 +131,24 @@ class LocalAdjView:
 
 def build_local_view(adj: NormalizedAdjacency, targets, source_ids,
                      fallback_ids=None) -> LocalAdjView:
-    """Restrict adj rows to `targets`, resolving neighbors against the sorted
-    id pools `source_ids` (listed) and `fallback_ids` (pruned).
+    """Restrict adj rows to `targets`, resolving neighbors against the id
+    pools `source_ids` (listed) and `fallback_ids` (pruned).
 
-    Both pools must be sorted ascending (positions become local row ids);
-    targets may come in any order.  Per target the entries keep the order
-    of A+I: self-loop first, then CSR order, and listed and pruned entries
-    keep their relative order inside each row.  Neighbors in neither pool
-    are recorded as pruned with id -1; aggregate refuses to resolve them
-    against a fallback matrix, they can only be dropped.  All target rows
-    are gathered at once; no array is sized by the node count.
+    Pools and targets may come in any order; a pool's positions become the
+    local row ids.  Per target the entries keep the order of the
+    operator's row (self-loop first, then CSR order), and listed and pruned
+    entries keep their relative order inside each row.  Neighbors in
+    neither pool are recorded as pruned with id -1; aggregate refuses to
+    resolve them against a fallback matrix, they can only be dropped.  All
+    target rows are gathered at once; no array is sized by the node count.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    source_ids = np.asarray(source_ids, dtype=np.int64)
-    pos, seg, ptr = _csr_gather(adj.indptr, targets)
-    # A+I rows: the self-loop of target t sits just before its CSR entries
-    n_t = len(targets)
-    self_at = ptr[:-1] + np.arange(n_t, dtype=np.int64)
-    nbr_at = np.arange(len(pos), dtype=np.int64) + seg + 1
-    ids = np.empty(len(pos) + n_t, dtype=np.int64)
-    w = np.empty(len(pos) + n_t, dtype=np.float64)
-    ids[self_at], w[self_at] = targets, adj.diag[targets]
-    ids[nbr_at], w[nbr_at] = adj.indices[pos], adj.weights[pos]
-    row = np.repeat(np.arange(n_t, dtype=np.int64), np.diff(ptr) + 1)
-
+    pos, row, _ = _csr_gather(adj.indptr, targets)
+    ids, w = adj.indices[pos], adj.weights[pos]
     src_pos, listed = _lookup(source_ids, ids)
     pruned = ~listed
     fb_pos, in_fb = _lookup(fallback_ids, ids[pruned])
+    n_t = len(targets)
     return LocalAdjView(
         targets,
         _row_pointer(row[listed], n_t), src_pos[listed], w[listed],
@@ -216,12 +207,14 @@ def aggregate_pruned(view: LocalAdjView, fallback_rows: Array) -> Array:
 def full_view(adj: NormalizedAdjacency) -> LocalAdjView:
     """build_local_view(adj, ids, ids) for ids = 0..n-1: every node is a
     target and every neighbor is listed, so aggregate on it equals the dense
-    normalized product.  Built on the first call for an adjacency and kept
-    on it, so later calls return the same object."""
-    if adj.full_view_memo is None:
-        ids = np.arange(adj.n, dtype=np.int64)
-        adj.full_view_memo = build_local_view(adj, ids, ids)
-    return adj.full_view_memo
+    normalized product.  The listed pool is the adjacency's own arrays;
+    nothing is copied."""
+    return LocalAdjView(
+        np.arange(adj.n, dtype=np.int64),
+        adj.indptr, adj.indices, adj.weights,
+        np.zeros(adj.n + 1, dtype=np.int64), np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.float64),
+    )
 
 
 def spectral_radius(adj: NormalizedAdjacency, iters: int = 500):

@@ -213,16 +213,24 @@ def solve_backward(adj: NormalizedAdjacency, state: RecState, dH: Array,
     return RecAux(V, residuals, iters, converged)
 
 
+def contract_rec_grads(agg: Array, X: Array, M: Array, H: Array,
+                       dlogits: Array, scale: float) -> GradSet:
+    """The gradient contractions of every estimator, on matching rows:
+    scale times (agg^T M, X^T M, column sums of M) for W, P and c, and
+    H^T dlogits, never scaled, for W_out."""
+    return GradSet({
+        "W": matmul(agg.T, M) * scale,
+        "P": matmul(np.asarray(X, dtype=np.float64).T, M) * scale,
+        "c": M.sum(axis=0) * scale,
+        "Wout": matmul(H.T, dlogits),
+    })
+
+
 def rec_grads(X: Array, state: RecState, aux: RecAux, params: RecParams,
               dlogits: Array) -> GradSet:
     """Implicit gradients at the solved pair (state, aux)."""
-    M = masked_rows(state.mask, aux.V)
-    return GradSet({
-        "W": matmul(state.agg.T, M),
-        "P": matmul(np.asarray(X, dtype=np.float64).T, M),
-        "c": M.sum(axis=0),
-        "Wout": matmul(state.H.T, dlogits),
-    })
+    return contract_rec_grads(state.agg, X, masked_rows(state.mask, aux.V),
+                              state.H, dlogits, 1.0)
 
 
 def full_rec_gradients(adj: NormalizedAdjacency, X: Array, labels: Array,

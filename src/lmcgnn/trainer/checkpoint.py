@@ -153,9 +153,12 @@ def _conv_hist_from(blocks: dict) -> ConvHistory:
     while f"embed{l}" in blocks:
         embed.append(blocks[f"embed{l}"])
         l += 1
-    aux = [None] + [blocks[f"aux{k}"] for k in range(1, l)]
     if not embed or "last_refresh" not in blocks:
         raise CheckpointError("checkpoint is missing history blocks")
+    try:
+        aux = [None] + [blocks[f"aux{k}"] for k in range(1, l)]
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint is missing block {exc}") from None
     return ConvHistory(embed, aux, blocks["last_refresh"])
 
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric divergence,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -14,8 +15,9 @@ import numpy as np
 
 from .. import __version__
 from ..convnet import full_gradients, init_conv_params, loss_full
-from ..diagnostics import (elementwise_fd_err, enumerate_batches, finite_diff,
-                           random_conv_instance, random_rec_instance)
+from ..diagnostics import (ENUM_LIMIT, elementwise_fd_err, enumerate_batches,
+                           finite_diff, random_conv_instance,
+                           random_rec_instance)
 from ..engine import backward_sgd_grads
 from ..graph import cut_edges, normalized_adjacency, save_partition
 from ..kernels import matmul, softmax_xent
@@ -176,6 +178,10 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_enumerate(args) -> int:
     cfg = _cfg_from_args(args)
+    total = math.comb(cfg.parts, cfg.clusters)
+    if total > ENUM_LIMIT:
+        raise ConfigError(f"{total} batches exceed the enumeration guard "
+                          f"({ENUM_LIMIT})")
     ds = _require_data(cfg)
     adj = normalized_adjacency(ds.graph)
     part = build_partition(ds, cfg)

@@ -24,7 +24,7 @@ from ..graph import (epoch_batches, normalized_adjacency, partition_clustered,
 from ..kernels import matmul, softmax_xent
 from ..recnet import full_rec_gradients, init_rec_params, solve_forward
 from ..report import OpCounter
-from .config import METHOD_TABLE, RunConfig
+from .config import METHOD_TABLE, ConfigError, RunConfig
 from .data import Dataset
 
 Array = np.ndarray
@@ -55,6 +55,9 @@ class TrainResult:
 
 
 def build_partition(ds: Dataset, cfg: RunConfig):
+    if cfg.parts > ds.n:
+        raise ConfigError(f"parts ({cfg.parts}) exceeds the node count "
+                          f"({ds.n})")
     if cfg.partition == "random":
         return partition_random(ds.graph, cfg.parts, cfg.seed)
     return partition_clustered(ds.graph, cfg.parts, cfg.seed)

@@ -22,14 +22,12 @@ def path_graph(n):
 
 
 def dense_adj(adj: NormalizedAdjacency) -> np.ndarray:
-    """Dense n x n matrix with the same entries as the CSR + diagonal."""
+    """Dense n x n matrix with the same entries as the CSR rows of A+I."""
     n = adj.n
     out = np.zeros((n, n))
     for i in range(n):
-        out[i, i] = adj.diag[i]
-        lo, hi = adj.indptr[i], adj.indptr[i + 1]
-        for j, w in zip(adj.indices[lo:hi], adj.weights[lo:hi]):
-            out[i, j] = w
+        ids, w = ref_row_entries(adj, i)
+        out[i, ids] = w
     return out
 
 
@@ -55,43 +53,39 @@ def sparse_graph(rng, n, p_edge):
 
 
 def ref_row_entries(adj: NormalizedAdjacency, i: int):
-    """Row i of A+I: self-loop entry first, then CSR-ordered neighbors."""
+    """Row i of A+I: the self-loop entry (exactly one) first, then the
+    neighbors in CSR order."""
     s, e = adj.indptr[i], adj.indptr[i + 1]
-    ids = np.concatenate(([i], adj.indices[s:e]))
-    w = np.concatenate(([adj.diag[i]], adj.weights[s:e]))
-    return ids, w
+    ids, w = adj.indices[s:e], adj.weights[s:e]
+    self_loop = ids == i
+    assert int(self_loop.sum()) == 1
+    return (np.concatenate((ids[self_loop], ids[~self_loop])),
+            np.concatenate((w[self_loop], w[~self_loop])))
+
+
+def ref_lookup(pool, ids):
+    """Position of each id in `pool` (any order), -1 when absent."""
+    at = {} if pool is None else {int(v): k for k, v in enumerate(pool)}
+    return np.array([at.get(int(v), -1) for v in ids], dtype=np.int64)
 
 
 def ref_build_local_view(adj, targets, source_ids, fallback_ids=None):
     """One Python iteration per target row; same contract as
     kernels.build_local_view."""
     targets = np.asarray(targets, dtype=np.int64)
-    source_ids = np.asarray(source_ids, dtype=np.int64)
-    fb = None if fallback_ids is None else np.asarray(fallback_ids, dtype=np.int64)
-
     src_indptr = np.zeros(len(targets) + 1, dtype=np.int64)
     prn_indptr = np.zeros(len(targets) + 1, dtype=np.int64)
     src_ids_out, src_w_out, prn_ids_out, prn_w_out = [], [], [], []
     for t, node in enumerate(targets):
         ids, w = ref_row_entries(adj, int(node))
-        pos = np.searchsorted(source_ids, ids)
-        pos_c = np.minimum(pos, len(source_ids) - 1) if len(source_ids) else pos * 0
-        listed = (len(source_ids) > 0) & (source_ids[pos_c] == ids) if len(source_ids) \
-            else np.zeros(len(ids), dtype=bool)
+        pos = ref_lookup(source_ids, ids)
+        listed = pos >= 0
         src_ids_out.append(pos[listed])
         src_w_out.append(w[listed])
-        rest_ids, rest_w = ids[~listed], w[~listed]
-        if fb is not None and len(fb):
-            fpos = np.searchsorted(fb, rest_ids)
-            fpos_c = np.minimum(fpos, len(fb) - 1)
-            infb = fb[fpos_c] == rest_ids
-            resolved = np.where(infb, fpos, -1)
-        else:
-            resolved = np.full(len(rest_ids), -1, dtype=np.int64)
-        prn_ids_out.append(resolved)
-        prn_w_out.append(rest_w)
+        prn_ids_out.append(ref_lookup(fallback_ids, ids[~listed]))
+        prn_w_out.append(w[~listed])
         src_indptr[t + 1] = src_indptr[t] + int(listed.sum())
-        prn_indptr[t + 1] = prn_indptr[t] + len(rest_ids)
+        prn_indptr[t + 1] = prn_indptr[t] + int((~listed).sum())
 
     cat = lambda chunks, dt: (np.concatenate(chunks).astype(dt) if chunks
                               else np.empty(0, dtype=dt))

@@ -156,6 +156,28 @@ def test_enumerate_command(tmp_path, capsys):
     assert "batches=6" in out and "bound=1e-10" in out
 
 
+@pytest.mark.parametrize("command", ["train", "partition", "diagnose",
+                                     "enumerate"])
+def test_parts_above_node_count_exits_config_error(tmp_path, capsys, command):
+    data = _gen(tmp_path)
+    capsys.readouterr()
+    code = main([command, "--data", data, "--parts", "41",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceeds the node count (40)" in err
+
+
+def test_enumerate_past_guard_exits_config_error(tmp_path, capsys):
+    data = _gen(tmp_path)
+    capsys.readouterr()
+    code = main(["enumerate", "--data", data, "--parts", "40",
+                 "--clusters", "20"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "enumeration guard (100000)" in err
+
+
 def test_diagnose_command(tmp_path, capsys):
     data = _gen(tmp_path)
     out = str(tmp_path / "diag")

@@ -198,10 +198,15 @@ def test_full_batch_collapses_to_gradient_descent():
 def test_cluster_step_leaves_parent_view_alone():
     rng, g, adj, X, labels, params, part = _setup(9)
     view = full_view(adj)
+    assert (view.src_indptr is adj.indptr and view.src_ids is adj.indices
+            and view.src_w is adj.weights)
+    before = [a.copy() for a in (adj.indptr, adj.indices, adj.weights)]
     batch = batch_from_parts(g, part, (0,), labeled_mask=labels >= 0)
     assert batch.n_core < g.n
     cluster_step(g, X, labels, batch, params, lr=0.1)
-    assert full_view(adj) is view and view.n_targets == g.n
+    for a, b in zip(before, (adj.indptr, adj.indices, adj.weights)):
+        assert a.tobytes() == b.tobytes()
+    assert full_view(adj).n_targets == g.n
 
 
 def test_cluster_full_batch_equals_gradient_descent():

@@ -66,7 +66,10 @@ def test_edge_list_comments_and_errors(tmp_path):
 def test_normalized_path3_entries():
     # degrees 1,2,1; weight(u,v) = 1/sqrt((d_u+1)(d_v+1))
     adj = normalized_adjacency(path_graph(3))
-    assert adj.diag == pytest.approx([0.5, 1.0 / 3.0, 0.5], abs=1e-15)
+    # each row of A+I starts with its self-loop entry
+    first = adj.indptr[:-1]
+    assert adj.indices[first].tolist() == [0, 1, 2]
+    assert adj.weights[first] == pytest.approx([0.5, 1.0 / 3.0, 0.5], abs=1e-15)
     view = build_local_view(adj, [0], [0, 1])
     ids, w = view.src_ids, view.src_w  # positions in [0, 1] are node ids
     assert ids[0] == 0  # self entry first
@@ -158,6 +161,9 @@ def test_partition_file_round_trip(tmp_path):
 def test_load_partition_rejects_gaps(tmp_path):
     path = tmp_path / "parts.tsv"
     path.write_text("0\t0\n2\t1\n")  # node 1 missing
+    with pytest.raises(ValueError, match="cover"):
+        load_partition(path)
+    path.write_text("-1\t0\n1\t0\n")  # node 0 missing, id -1 given
     with pytest.raises(ValueError, match="cover"):
         load_partition(path)
 

@@ -132,8 +132,10 @@ def test_full_view_aggregate_matches_dense():
     H = rng.standard_normal((15, 6))
     first = aggregate(full_view(adj), H)
     assert np.max(np.abs(first - dense_adj(adj) @ H)) <= 1e-13
-    # later calls reuse the view kept on the adjacency, bit for bit
-    assert full_view(adj) is full_view(adj)
+    # the view is the adjacency's own arrays, so later calls agree bit for bit
+    view = full_view(adj)
+    assert (view.src_indptr is adj.indptr and view.src_ids is adj.indices
+            and view.src_w is adj.weights)
     assert np.array_equal(aggregate(full_view(adj), H), first)
 
 
@@ -155,14 +157,20 @@ def test_full_view_equals_local_view_of_all_nodes(g):
 
 
 def test_full_view_is_kept_per_adjacency():
+    """Each adjacency's full view is that adjacency's arrays, not a copy
+    and not another adjacency's."""
     rng = np.random.default_rng(5)
     g = random_graph(rng, 12, 0.3)
     a, b = normalized_adjacency(g), normalized_adjacency(g)
     c = normalized_adjacency(path_graph(7))
-    views = [full_view(a), full_view(b), full_view(c)]
-    assert len({id(v) for v in views}) == 3
-    assert [v.n_targets for v in views] == [12, 12, 7]
-    assert full_view(a) is views[0] and full_view(c) is views[2]
+    for adj in (a, b, c):
+        view = full_view(adj)
+        assert view.src_indptr is adj.indptr
+        assert view.src_ids is adj.indices
+        assert view.src_w is adj.weights
+        assert view.n_pruned == 0
+    assert not np.shares_memory(full_view(a).src_w, b.weights)
+    assert [full_view(x).n_targets for x in (a, b, c)] == [12, 12, 7]
 
 
 def test_local_view_with_fallback_matches_dense():
@@ -231,23 +239,25 @@ def test_local_view_consistency(seed, n, d):
 
 
 def _pool(rng, n, kind):
-    """A sorted id pool: empty, everything, or a random subset."""
+    """An id pool: empty, everything, or a random subset, sorted or not."""
     if kind == "empty":
         return np.empty(0, dtype=np.int64)
     if kind == "all":
         return np.arange(n, dtype=np.int64)
-    return np.sort(rng.permutation(n)[: rng.integers(0, n + 1)])
+    subset = rng.permutation(n)[: rng.integers(0, n + 1)]
+    return np.sort(subset) if kind == "subset" else subset
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 18),
        st.sampled_from([0.0, 0.1, 0.3]),
-       st.sampled_from(["empty", "all", "subset"]),
-       st.sampled_from(["none", "empty", "all", "subset"]))
+       st.sampled_from(["empty", "all", "subset", "shuffled"]),
+       st.sampled_from(["none", "empty", "all", "subset", "shuffled"]))
 def test_local_view_equals_loop_reference(seed, n, p_edge, src_kind, fb_kind):
     """The vectorized gather builds the loop's view array for array, dtypes
     included: isolated nodes and edgeless graphs, unsorted targets (core,
-    then halo), empty pools, and neighbors in neither pool (id -1)."""
+    then halo), unsorted and empty pools, and neighbors in neither pool
+    (id -1)."""
     rng = np.random.default_rng(seed)
     adj = normalized_adjacency(sparse_graph(rng, n, p_edge))
     targets = rng.permutation(n)[: rng.integers(0, n + 1)]

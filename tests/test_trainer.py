@@ -1,11 +1,15 @@
 """Run configuration, checkpoint format, and the training loop."""
+import struct
+
 import numpy as np
 import pytest
 
 from lmcgnn.convnet import init_conv_params
 from lmcgnn.engine import ConvHistory, RecHistory
 from lmcgnn.recnet import init_rec_params
-from lmcgnn.trainer.checkpoint import (CheckpointError, load_checkpoint,
+from lmcgnn.trainer.checkpoint import (MAGIC, VERSION, CheckpointError,
+                                       _hist_blocks, _param_blocks,
+                                       _write_blocks, load_checkpoint,
                                        save_checkpoint)
 from lmcgnn.trainer.config import (METHODS, MODELS, ConfigError, RunConfig,
                                    build_config, parse_config_file)
@@ -165,6 +169,21 @@ def test_checkpoint_corruption(tmp_path):
 
     with pytest.raises(CheckpointError, match="unknown model kind"):
         save_checkpoint(str(tmp_path / "k.bin"), "mlp", params)
+
+
+def test_conv_checkpoint_missing_aux_block(tmp_path):
+    rng = np.random.default_rng(3)
+    params = init_conv_params(rng, 3, [4, 4], 2)
+    hist = ConvHistory.init(rng.normal(size=(6, 3)), params.dims)
+    blocks = _hist_blocks("gcn", hist)
+    del blocks["aux1"]
+    path = tmp_path / "c.bin"
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<IB", VERSION, 3) + b"gcn")
+        _write_blocks(fh, _param_blocks("gcn", params))
+        _write_blocks(fh, blocks)
+    with pytest.raises(CheckpointError, match="missing block 'aux1'"):
+        load_checkpoint(str(path))
 
 
 # -- training loop ----------------------------------------------------------
