@@ -3,7 +3,10 @@
 Each halo node i gets a coefficient beta_i = score(x_i) * alpha where
 x_i = deg_local(i) / deg_global(i) and deg_local counts i's neighbors inside
 core + halo1.  x measures how much of the node's neighborhood the incomplete
-update actually saw; score maps it to a trust weight in [0, 1].
+update actually saw; score maps it to a trust weight in [0, 1].  Both
+degrees are read off the conv step's batch view: a halo row lists its
+self-loop and its in-pool neighbors and prunes the rest, so
+deg_local = listed - 1 and deg_global = listed + pruned - 1.
 """
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph import Graph, MiniBatch, _csr_gather, _lookup
+from ..kernels import LocalAdjView
 
 Array = np.ndarray
 
@@ -47,14 +50,15 @@ class BlendSchedule:
 ZERO_SCHEDULE = BlendSchedule(alpha=0.0, score="one")
 
 
-def blend_weights(batch: MiniBatch, g: Graph, schedule: BlendSchedule) -> Array:
-    """Per-halo1-node beta vector, in halo1 order."""
-    if schedule.alpha == 0.0 or len(batch.halo1) == 0:
-        return np.zeros(len(batch.halo1))
-    inside = np.concatenate([batch.core, batch.halo1])
-    pos, seg, ptr = _csr_gather(g.indptr, batch.halo1)
-    _, hit = _lookup(inside, g.indices[pos])
-    x = np.bincount(seg[hit], minlength=len(batch.halo1)) / np.diff(ptr)
+def blend_weights(view: LocalAdjView, n_core: int,
+                  schedule: BlendSchedule) -> Array:
+    """Per-halo1-node beta vector, in halo1 order, for a view whose targets
+    are core then halo1 and whose listed pool is core + halo1."""
+    listed = np.diff(view.src_indptr[n_core:])
+    if schedule.alpha == 0.0 or len(listed) == 0:
+        return np.zeros(len(listed))
+    pruned = np.diff(view.prn_indptr[n_core:])
+    x = (listed - 1) / (listed + pruned - 1)
     beta = _score(schedule.score, x) * schedule.alpha
     return np.clip(beta, 0.0, 1.0)
 

@@ -47,11 +47,12 @@ class ConvBatchContext:
     beta: Array                 # blend weights in halo1 order
 
 
-def build_conv_context(adj: NormalizedAdjacency, g: Graph, batch: MiniBatch,
+def build_conv_context(adj: NormalizedAdjacency, batch: MiniBatch,
                        schedule: BlendSchedule) -> ConvBatchContext:
     inside = np.concatenate([batch.core, batch.halo1])
     view = build_local_view(adj, inside, inside)
-    return ConvBatchContext(batch, view, blend_weights(batch, g, schedule))
+    return ConvBatchContext(batch, view,
+                            blend_weights(view, batch.n_core, schedule))
 
 
 @dataclass
@@ -148,7 +149,7 @@ def lmc_conv_step(adj: NormalizedAdjacency, g: Graph, X: Array, labels: Array,
                   counter: OpCounter | None = None):
     """One compensated training step: forward refresh, batch loss, backward
     refresh, reweighted gradients, SGD update."""
-    ctx = build_conv_context(adj, g, batch, schedule)
+    ctx = build_conv_context(adj, batch, schedule)
     cache = lmc_conv_forward(ctx, X, params, hist, counter)
     L = params.n_layers
     nc = batch.n_core

@@ -126,12 +126,11 @@ def build_graph(n: int, edges) -> Graph:
     return Graph(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
-def read_edge_list(path, n: int | None = None) -> Graph:
-    """Read a tab-separated "u<TAB>v" edge file.  '#' starts a comment.
-
-    When n is omitted it is inferred as max id + 1.
-    """
-    edges = []
+def _read_int_pairs(path, expected: str) -> list:
+    """(a, b) integer pairs of a tab-separated two-column file, one per
+    line; '#' starts a comment.  `expected` names the format in the error
+    raised for a line without exactly two fields."""
+    pairs = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -139,8 +138,17 @@ def read_edge_list(path, n: int | None = None) -> Graph:
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'u<TAB>v'")
-            edges.append((int(parts[0]), int(parts[1])))
+                raise ValueError(f"{path}:{lineno}: expected '{expected}'")
+            pairs.append((int(parts[0]), int(parts[1])))
+    return pairs
+
+
+def read_edge_list(path, n: int | None = None) -> Graph:
+    """Read a tab-separated "u<TAB>v" edge file.  '#' starts a comment.
+
+    When n is omitted it is inferred as max id + 1.
+    """
+    edges = _read_int_pairs(path, "u<TAB>v")
     if n is None:
         n = 1 + max((max(u, v) for u, v in edges), default=-1)
         if n == 0:
@@ -221,20 +229,18 @@ def partition_random(g: Graph, B: int, seed) -> Partition:
 
 
 def _bfs_distances(g: Graph, sources: Array) -> Array:
+    """Hop distance from the nearest source, -1 where unreached; one
+    gather over the whole frontier per BFS level."""
     dist = np.full(g.n, -1, dtype=np.int64)
-    frontier = list(sources)
-    for s in frontier:
-        dist[s] = 0
+    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    dist[frontier] = 0
     d = 0
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.neighbors(u):
-                if dist[v] < 0:
-                    dist[v] = d + 1
-                    nxt.append(v)
-        frontier = nxt
+    while frontier.size:
+        pos, _, _ = _csr_gather(g.indptr, frontier)
+        nbrs = np.unique(g.indices[pos])
+        frontier = nbrs[dist[nbrs] < 0]
         d += 1
+        dist[frontier] = d
     return dist
 
 
@@ -318,16 +324,7 @@ def save_partition(p: Partition, path) -> None:
 
 
 def load_partition(path) -> Partition:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'node_id<TAB>part_id'")
-            rows.append((int(parts[0]), int(parts[1])))
+    rows = _read_int_pairs(path, "node_id<TAB>part_id")
     if not rows:
         raise ValueError(f"{path}: empty partition file")
     ids = np.array([r[0] for r in rows], dtype=np.int64)

@@ -78,21 +78,6 @@ def fro_norm(a: Array) -> float:
     return float(np.sqrt(np.sum(np.asarray(a, dtype=np.float64) ** 2)))
 
 
-def inf_norm_rows(a: Array) -> float:
-    """Max row abs-sum (the induced infinity norm for 2-d input)."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    return float(np.abs(a).sum(axis=1).max())
-
-
-def rel_err(approx: Array, exact: Array) -> float:
-    """||approx - exact||_F / ||exact||_F, with a 0/0 guard returning 0."""
-    denom = fro_norm(exact)
-    diff = fro_norm(np.asarray(approx) - np.asarray(exact))
-    if denom == 0.0:
-        return 0.0 if diff == 0.0 else float("inf")
-    return diff / denom
-
-
 # ---------------------------------------------------------------------------
 # local adjacency views
 

@@ -5,7 +5,7 @@ Equilibrium, node-major:
     H* = relu(A H* W + X P + 1 c^T),      logits = H* W_out.
 
 Well-posedness is enforced by projecting W so that the column abs-sums stay
-at or below kappa < 1 (equivalently inf_norm_rows(W^T) <= kappa).  Together
+at or below kappa < 1 (equivalently ||W^T||_inf <= kappa).  Together
 with the unit Perron value of A this makes the iteration map a contraction
 with rate at most kappa, so the forward and backward solves both converge
 geometrically from any start.

@@ -133,9 +133,12 @@ def cmd_diagnose(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ConfigError("no methods to diagnose")
-    os.makedirs(cfg.out, exist_ok=True)
+    for method in methods:
+        if method not in METHODS:
+            raise ConfigError(f"unknown method {method!r}")
     for method in methods:
         trace = run_diagnose(cfg, ds, method)
+        os.makedirs(cfg.out, exist_ok=True)
         path = os.path.join(cfg.out, f"trace_{method}.csv")
         trace.write_csv(path)
         err = trace.column("grad_rel_err")

@@ -132,6 +132,25 @@ def ref_induced_subgraph(g, core):
     return build_graph(len(core), np.asarray(edges, dtype=np.int64).reshape(-1, 2))
 
 
+def ref_bfs_distances(g, sources):
+    """Node-by-node BFS; same contract as graph._bfs_distances."""
+    dist = np.full(g.n, -1, dtype=np.int64)
+    frontier = list(sources)
+    for s in frontier:
+        dist[s] = 0
+    d = 0
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in g.neighbors(u):
+                if dist[v] < 0:
+                    dist[v] = d + 1
+                    nxt.append(v)
+        frontier = nxt
+        d += 1
+    return dist
+
+
 def ref_cut_edges(g, p):
     count = 0
     for u in range(g.n):

@@ -166,6 +166,20 @@ def test_parts_above_node_count_exits_config_error(tmp_path, capsys, command):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "exceeds the node count (40)" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_diagnose_unknown_method_exits_before_training(tmp_path, capsys):
+    data = _gen(tmp_path)
+    capsys.readouterr()
+    code = main(["diagnose", "--data", data, "--methods", "lmc-conv,bogus",
+                 "--epochs", "1", "--parts", "4", "--out",
+                 str(tmp_path / "out")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "'bogus'" in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_enumerate_past_guard_exits_config_error(tmp_path, capsys):

@@ -18,7 +18,7 @@ from lmcgnn.engine import (SCORE_KINDS, ZERO_SCHEDULE, BlendSchedule, ConvHistor
                            gas_conv_step, induced_subgraph, lmc_conv_step)
 from lmcgnn.graph import (Partition, batch_from_parts, build_graph,
                           normalized_adjacency, partition_random)
-from lmcgnn.kernels import full_view, softmax_xent
+from lmcgnn.kernels import build_local_view, full_view, softmax_xent
 
 
 def _setup(seed, n=18, L=3, d=3, k=2, parts=6):
@@ -48,7 +48,7 @@ def _naive_step(D, g, X, labels, n_lab, batch, params, hist, schedule, lr,
     core, halo = batch.core, batch.halo1
     nc, L = len(core), params.n_layers
     pool = np.concatenate([core, halo])
-    beta = blend_weights(batch, g, schedule)
+    beta = ref_blend_weights(batch, g, schedule)
     Dp = D.copy()
     outside = np.setdiff1d(np.arange(g.n), pool)
     Dp[:, outside] = 0.0  # out-of-scope sources are dropped, not read
@@ -234,21 +234,32 @@ def test_backward_sgd_full_batch_is_exact():
 # blending
 
 
+def _conv_view(g, batch):
+    """The conv step's batch view: targets and listed pool core + halo1."""
+    inside = np.concatenate([batch.core, batch.halo1])
+    return build_local_view(normalized_adjacency(g), inside, inside)
+
+
 def test_blend_weights_path_example():
     # core {0} on a 3-path: halo node 1 sees 1 of its 2 neighbors
     g = path_graph(3)
     p = Partition(3, [np.array([i]) for i in range(3)], np.arange(3))
     batch = batch_from_parts(g, p, [0])
     assert batch.halo1.tolist() == [1]
-    beta = blend_weights(batch, g, BlendSchedule(alpha=0.4, score="2x-x2"))
+    view = _conv_view(g, batch)
+    beta = blend_weights(view, 1, BlendSchedule(alpha=0.4, score="2x-x2"))
     assert beta.tolist() == [pytest.approx(0.75 * 0.4)]
-    assert blend_weights(batch, g, BlendSchedule(0.4, "x2")).tolist() == \
+    assert blend_weights(view, 1, BlendSchedule(0.4, "x2")).tolist() == \
         [pytest.approx(0.25 * 0.4)]
-    assert blend_weights(batch, g, BlendSchedule(0.4, "x")).tolist() == \
+    assert blend_weights(view, 1, BlendSchedule(0.4, "x")).tolist() == \
         [pytest.approx(0.5 * 0.4)]
-    assert blend_weights(batch, g, BlendSchedule(0.4, "one")).tolist() == \
+    assert blend_weights(view, 1, BlendSchedule(0.4, "one")).tolist() == \
         [pytest.approx(0.4)]
-    assert blend_weights(batch, g, ZERO_SCHEDULE).tolist() == [0.0]
+    assert blend_weights(view, 1, ZERO_SCHEDULE).tolist() == [0.0]
+    # every node in the core: no halo rows, an empty beta
+    whole = batch_from_parts(g, p, [0, 1, 2])
+    beta = blend_weights(_conv_view(g, whole), 3, BlendSchedule(0.4, "x"))
+    assert beta.dtype == np.float64 and beta.shape == (0,)
 
 
 @settings(max_examples=60, deadline=None)
@@ -262,10 +273,11 @@ def test_blend_weights_and_induced_subgraph_equal_loop_reference(
     part = partition_random(g, min(4, n), seed=rng)
     ids = np.sort(rng.permutation(part.B)[: min(c, part.B)])
     batch = batch_from_parts(g, part, ids)
+    view = _conv_view(g, batch)
     for score in SCORE_KINDS:
         schedule = BlendSchedule(alpha, score)
         want = ref_blend_weights(batch, g, schedule)
-        got = blend_weights(batch, g, schedule)
+        got = blend_weights(view, batch.n_core, schedule)
         assert want.dtype == got.dtype and np.array_equal(want, got), score
     want, got = ref_induced_subgraph(g, batch.core), induced_subgraph(g, batch.core)
     assert want.n == got.n

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (clique_edges, dense_adj, path_graph, random_graph,
-                      ref_cut_edges, ref_neighbors_of, sparse_graph)
+                      ref_bfs_distances, ref_cut_edges, ref_neighbors_of,
+                      sparse_graph)
 from lmcgnn.kernels import build_local_view, spectral_radius
-from lmcgnn.graph import (Partition, batch_from_parts, build_graph, cut_edges,
-                          epoch_batches, load_partition, normalized_adjacency,
+from lmcgnn.graph import (Partition, _bfs_distances, batch_from_parts,
+                          build_graph, cut_edges, epoch_batches,
+                          load_partition, normalized_adjacency,
                           partition_clustered, partition_random,
                           read_edge_list, sample_minibatch, save_partition,
                           write_edge_list)
@@ -136,6 +138,18 @@ def test_cut_edges_and_neighbors_of_equal_loop_reference(seed, n, p_edge, B):
                   np.empty(0, dtype=np.int64)):
         want, got = ref_neighbors_of(g, nodes), g.neighbors_of(nodes)
         assert want.dtype == got.dtype and np.array_equal(want, got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 25),
+       st.sampled_from([0.0, 0.05, 0.1, 0.4]), st.integers(0, 4))
+def test_bfs_distances_equal_loop_reference(seed, n, p_edge, n_src):
+    # sparse graphs are often disconnected, leaving nodes unreached (-1)
+    rng = np.random.default_rng(seed)
+    g = sparse_graph(rng, n, p_edge)
+    sources = rng.permutation(n)[: min(n_src, n)].astype(np.int64)
+    want, got = ref_bfs_distances(g, sources), _bfs_distances(g, sources)
+    assert want.dtype == got.dtype and np.array_equal(want, got)
 
 
 def test_partition_clustered_respects_cap():
