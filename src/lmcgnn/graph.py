@@ -232,7 +232,7 @@ def _bfs_distances(g: Graph, sources: Array) -> Array:
     """Hop distance from the nearest source, -1 where unreached; one
     gather over the whole frontier per BFS level."""
     dist = np.full(g.n, -1, dtype=np.int64)
-    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    frontier = np.asarray(sources, dtype=np.int64)
     dist[frontier] = 0
     d = 0
     while frontier.size:

@@ -44,7 +44,7 @@ def test_relu_family_zero_subgradient():
     assert masked_rows(relu_mask(z), up).tolist() == [[0.0, 0.0, 5.0]]
 
 
-def test_norms_and_rel_err():
+def test_fro_norm():
     a = np.array([[3.0, 4.0]])
     assert fro_norm(a) == 5.0
 
