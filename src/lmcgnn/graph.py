@@ -169,19 +169,63 @@ def write_edge_list(g: Graph, path) -> None:
 
 
 @dataclass
+class JaggedDiagonal:
+    """Jagged-diagonal layout of a CSR pool, the order its rows are summed in.
+
+    `perm` lists the rows that hold an entry, longest first (ties keep row
+    order).  Column k, `col_ids`/`col_w[col_ptr[k]:col_ptr[k+1]]`, holds
+    the k-th entry of each row that has one: the rows `perm[:m_k]`, in that
+    order.  Rows with no entry appear in no column.
+    """
+
+    n_rows: int
+    perm: Array
+    col_ptr: Array
+    col_ids: Array
+    col_w: Array
+
+
+def jagged_diagonal(indptr: Array, ids: Array, w: Array) -> JaggedDiagonal:
+    """Lay out the CSR pool (indptr, ids, w) by columns with one scatter."""
+    n_rows = len(indptr) - 1
+    counts = np.diff(indptr)
+    order = np.argsort(-counts, kind="stable")
+    rank = np.empty(n_rows, dtype=np.int64)
+    rank[order] = np.arange(n_rows, dtype=np.int64)
+    # m_k = rows with more than k entries = n_rows - rows with at most k
+    width = int(counts.max(initial=0))
+    col_ptr = np.zeros(width + 1, dtype=np.int64)
+    np.cumsum(n_rows - np.cumsum(np.bincount(counts, minlength=width))[:width],
+              out=col_ptr[1:])
+    row = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
+    k = np.arange(len(ids), dtype=np.int64) - indptr[row]
+    dest = col_ptr[k] + rank[row]
+    col_ids = np.empty_like(ids)
+    col_ids[dest] = ids
+    col_w = np.empty_like(w)
+    col_w[dest] = w
+    return JaggedDiagonal(n_rows, order[:np.count_nonzero(counts)], col_ptr,
+                          col_ids, col_w)
+
+
+@dataclass
 class NormalizedAdjacency:
-    """(D+I)^(-1/2) (A+I) (D+I)^(-1/2) in CSR form, in summation order.
+    """(D+I)^(-1/2) (A+I) (D+I)^(-1/2), stored twice: in CSR form and as the
+    jagged-diagonal `layout` every product with it reads.
 
     Row i holds its self-loop first, then the Graph's CSR neighbors of i in
-    order.  Entries are 1/sqrt((d_i+1)(d_j+1)); the Perron value of the
-    operator is 1 on every graph.  The arrays are never changed after the
-    operator is built.
+    order, and a product sums each row in that order, left to right.
+    Entries are 1/sqrt((d_i+1)(d_j+1)); the Perron value of the operator
+    is 1 on every graph.  Both forms hold n + nnz ids and weights, and a
+    product allocates (n x width) arrays only, never (nnz x width).  The
+    arrays are never changed after the operator is built.
     """
 
     n: int
     indptr: Array
     indices: Array
     weights: Array
+    layout: JaggedDiagonal
 
 
 def normalized_adjacency(g: Graph) -> NormalizedAdjacency:
@@ -189,7 +233,9 @@ def normalized_adjacency(g: Graph) -> NormalizedAdjacency:
     indptr = g.indptr + np.arange(g.n + 1, dtype=np.int64)
     row = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr))
     indices = np.insert(g.indices, g.indptr[:-1], np.arange(g.n, dtype=np.int64))
-    return NormalizedAdjacency(g.n, indptr, indices, inv[row] * inv[indices])
+    weights = inv[row] * inv[indices]
+    return NormalizedAdjacency(g.n, indptr, indices, weights,
+                               jagged_diagonal(indptr, indices, weights))
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,21 @@ Embedding matrices are node-major: row i is node i's vector.  Every product
 with the normalized operator, batch-local or full-graph, goes through one
 summation kernel, `_segment_sum`, on a LocalAdjView: the view keeps, per
 target row, the operator's stored entry order (self-loop first, then CSR
-neighbor order), so full-batch and mini-batch code paths reduce in the same
-order and repeated runs are bit-identical.  The power iteration
-`spectral_radius` applies the operator the same way.
+neighbor order), and the kernel sums each row left to right from zero in
+that order, which is the order of a CSR sparse-times-dense product.  It
+reads each pool in jagged-diagonal layout (`graph.JaggedDiagonal`) and
+adds one column of entries at a time, so full-batch and mini-batch code
+paths reduce in the same order and repeated runs are bit-identical.  The
+power iteration `spectral_radius` applies the operator the same way.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import NormalizedAdjacency, _csr_gather, _lookup, _row_pointer
+from .graph import (JaggedDiagonal, NormalizedAdjacency, _csr_gather, _lookup,
+                    _row_pointer, jagged_diagonal)
 
 Array = np.ndarray
 
@@ -90,7 +94,9 @@ class LocalAdjView:
     the `source_rows` matrix handed to aggregate) and a pruned pool (resolved
     into `fallback_rows` when one is supplied, dropped otherwise).  Entry
     order per target: self-loop first, then CSR order; listed/pruned keep
-    their relative order inside each pool.
+    their relative order inside each pool.  Each pool is kept in CSR form
+    and, from its first sum on, in the jagged-diagonal layout the summation
+    kernel reads.
     """
 
     targets: Array
@@ -100,6 +106,8 @@ class LocalAdjView:
     prn_indptr: Array
     prn_ids: Array
     prn_w: Array
+    src_jd: JaggedDiagonal | None = field(default=None, repr=False)
+    prn_jd: JaggedDiagonal | None = field(default=None, repr=False)
 
     @property
     def n_targets(self) -> int:
@@ -112,6 +120,20 @@ class LocalAdjView:
     @property
     def n_listed(self) -> int:
         return int(self.src_ids.size)
+
+    @property
+    def listed_layout(self) -> JaggedDiagonal:
+        if self.src_jd is None:
+            self.src_jd = jagged_diagonal(self.src_indptr, self.src_ids,
+                                          self.src_w)
+        return self.src_jd
+
+    @property
+    def pruned_layout(self) -> JaggedDiagonal:
+        if self.prn_jd is None:
+            self.prn_jd = jagged_diagonal(self.prn_indptr, self.prn_ids,
+                                          self.prn_w)
+        return self.prn_jd
 
 
 def build_local_view(adj: NormalizedAdjacency, targets, source_ids,
@@ -141,18 +163,23 @@ def build_local_view(adj: NormalizedAdjacency, targets, source_ids,
     )
 
 
-def _segment_sum(indptr: Array, ids: Array, w: Array, rows: Array) -> Array:
+def _segment_sum(jd: JaggedDiagonal, rows: Array) -> Array:
     """The one summation kernel: out[t] = sum_k w[k] * rows[ids[k]] over the
-    entries k of segment t (indptr[t]:indptr[t+1]), into a fresh zeroed
-    array.  All segments are reduced by one add.reduceat over the entries
-    in view order, so every path that sums a row of the operator sums it
-    the same way.  Empty segments stay zero."""
+    entries of pool row t, into a fresh zeroed array.
+
+    Each row is summed left to right from zero, in entry order, as a CSR
+    product does: column k of the jagged-diagonal layout adds the k-th
+    entry of every row that has one, `acc[:m_k] += w_k * rows[ids_k]`, so
+    no (entries x width) temporary is made.  Rows without entries stay
+    zero."""
     rows = np.asarray(rows, dtype=np.float64)
-    out = np.zeros((len(indptr) - 1, rows.shape[1]))
-    if ids.size:
-        nonempty = indptr[:-1] < indptr[1:]
-        out[nonempty] += np.add.reduceat(w[:, None] * rows[ids],
-                                         indptr[:-1][nonempty], axis=0)
+    out = np.zeros((jd.n_rows, rows.shape[1]))
+    if jd.perm.size:
+        acc = np.zeros((jd.perm.size, rows.shape[1]))
+        ptr = jd.col_ptr.tolist()
+        for s, e in zip(ptr[:-1], ptr[1:]):
+            acc[:e - s] += jd.col_w[s:e, None] * rows[jd.col_ids[s:e]]
+        out[jd.perm] = acc
     return out
 
 
@@ -168,7 +195,7 @@ def aggregate(view: LocalAdjView, source_rows: Array,
     if view.n_pruned and fallback_rows is None and not drop_pruned:
         raise ValueError("view has pruned neighbors; pass fallback_rows or "
                          "drop_pruned=True")
-    out = _segment_sum(view.src_indptr, view.src_ids, view.src_w, source_rows)
+    out = _segment_sum(view.listed_layout, source_rows)
     if view.n_pruned and fallback_rows is not None:
         out += aggregate_pruned(view, fallback_rows)
     return out
@@ -176,8 +203,7 @@ def aggregate(view: LocalAdjView, source_rows: Array,
 
 def aggregate_listed(view: LocalAdjView, source_rows: Array) -> Array:
     """Listed-pool part of aggregate only (pruned neighbors ignored)."""
-    return _segment_sum(view.src_indptr, view.src_ids, view.src_w,
-                        source_rows)
+    return _segment_sum(view.listed_layout, source_rows)
 
 
 def aggregate_pruned(view: LocalAdjView, fallback_rows: Array) -> Array:
@@ -185,26 +211,25 @@ def aggregate_pruned(view: LocalAdjView, fallback_rows: Array) -> Array:
     pruned neighbor must sit in the view's fallback pool."""
     if np.any(view.prn_ids < 0):
         raise ValueError("pruned neighbor outside the fallback pool")
-    return _segment_sum(view.prn_indptr, view.prn_ids, view.prn_w,
-                        fallback_rows)
+    return _segment_sum(view.pruned_layout, fallback_rows)
 
 
 def full_view(adj: NormalizedAdjacency) -> LocalAdjView:
     """build_local_view(adj, ids, ids) for ids = 0..n-1: every node is a
     target and every neighbor is listed, so aggregate on it equals the dense
-    normalized product.  The listed pool is the adjacency's own arrays;
-    nothing is copied."""
+    normalized product.  The listed pool, CSR arrays and layout alike, is
+    the adjacency's own; nothing is copied or built."""
     return LocalAdjView(
         np.arange(adj.n, dtype=np.int64),
         adj.indptr, adj.indices, adj.weights,
         np.zeros(adj.n + 1, dtype=np.int64), np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.float64),
+        np.empty(0, dtype=np.float64), src_jd=adj.layout,
     )
 
 
 def spectral_radius(adj: NormalizedAdjacency, iters: int = 500):
     """Power-iteration estimate of the dominant eigenvalue of the operator,
-    applied as aggregate on its full view.
+    applied as aggregate on its full view, one product per iteration.
 
     Returns (value, residual) where residual = ||A x - value * x||_2 for the
     final unit iterate.  The start vector is all-ones, which has positive
@@ -212,13 +237,14 @@ def spectral_radius(adj: NormalizedAdjacency, iters: int = 500):
     """
     view = full_view(adj)
     x = np.full((adj.n, 1), 1.0 / np.sqrt(adj.n))
+    y = aggregate(view, x)
     lam = 0.0
     for _ in range(iters):
-        y = aggregate(view, x)
         norm = float(np.linalg.norm(y))
         if norm == 0.0:
             return 0.0, 0.0
         x = y / norm
-        lam = float(np.vdot(x, aggregate(view, x)))
-    resid = float(np.linalg.norm(aggregate(view, x) - lam * x))
+        y = aggregate(view, x)      # A x: this Rayleigh quotient and the next y
+        lam = float(np.vdot(x, y))
+    resid = float(np.linalg.norm(y - lam * x))
     return lam, resid

@@ -187,6 +187,31 @@ def _random_split(n: int, rng) -> tuple:
     return train, val, test
 
 
+# Node pairs per block of rows that gen_two_cluster draws at once.
+_PAIR_BLOCK = 1 << 20
+
+
+def _upper_pair_blocks(n: int):
+    """The pairs (i, j), i < j < n, in the row-major order of
+    np.triu_indices(n, k=1), as (iu, ju) blocks of whole rows holding about
+    _PAIR_BLOCK pairs each (a longer row is a block of its own)."""
+    ends = np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))
+    r0 = 0
+    while r0 < n - 1:
+        start = int(ends[r0 - 1]) if r0 else 0
+        r1 = max(r0 + 1, int(np.searchsorted(ends, start + _PAIR_BLOCK,
+                                             side="right")))
+        rows = np.arange(r0, r1, dtype=np.int64)
+        counts = n - 1 - rows
+        iu = np.repeat(rows, counts)
+        # row i's pairs run j = i+1 .. n-1 from block offset ends[i-1]-start
+        first = np.cumsum(counts) - counts
+        ju = np.arange(iu.size, dtype=np.int64) + np.repeat(rows + 1 - first,
+                                                            counts)
+        yield iu, ju
+        r0 = r1
+
+
 def gen_two_cluster(n: int, d_x: int, seed: int, *, deg_in: float = 8.0,
                     deg_out: float = 1.0, sep: float = 1.0,
                     noise: float = 1.0, flip: float = 0.0) -> Dataset:
@@ -197,6 +222,11 @@ def gen_two_cluster(n: int, d_x: int, seed: int, *, deg_in: float = 8.0,
     (+-sep/sqrt(d_x) per coordinate) plus isotropic noise.  `flip`
     mislabels that fraction of nodes, putting a floor under the
     attainable training loss.
+
+    Every node pair draws one uniform, in the row-major order of the upper
+    triangle.  The pairs are walked in blocks of rows, so peak memory
+    grows with n + edges + _PAIR_BLOCK, not with n^2, while the draws and
+    the dataset are those of drawing all n(n-1)/2 uniforms at once.
     """
     if n < 4:
         raise ConfigError("two-cluster needs n >= 4")
@@ -205,13 +235,14 @@ def gen_two_cluster(n: int, d_x: int, seed: int, *, deg_in: float = 8.0,
     rng = np.random.default_rng(seed)
     labels = np.zeros(n, dtype=np.int64)
     labels[n // 2:] = 1
-    iu, ju = np.triu_indices(n, k=1)
-    same = labels[iu] == labels[ju]
     p_in = min(1.0, deg_in / max(1, n // 2 - 1))
     p_out = min(1.0, deg_out / max(1, n - n // 2))
-    p = np.where(same, p_in, p_out)
-    keep = rng.random(p.shape) < p
-    edges = np.stack([iu[keep], ju[keep]], axis=1)
+    edges = []
+    for iu, ju in _upper_pair_blocks(n):
+        p = np.where(labels[iu] == labels[ju], p_in, p_out)
+        keep = rng.random(p.shape) < p
+        edges.append(np.stack([iu[keep], ju[keep]], axis=1))
+    edges = np.concatenate(edges)
     mu = sep / np.sqrt(d_x)
     X = noise * rng.standard_normal((n, d_x))
     X[labels == 0] += mu

@@ -1,12 +1,14 @@
 """Shared helpers: tiny graph builders, a dense mirror of the normalized
-adjacency (an independent oracle for the sparse aggregation paths), and
-per-node loop versions of the vectorized graph slicing, which the tests
+adjacency (an independent oracle for the sparse aggregation paths),
+per-node loop versions of the vectorized graph slicing and of the
+summation order, and the all-pairs two-cluster generator, which the tests
 compare against array for array."""
 import numpy as np
 
 from lmcgnn.engine.blend import _score
 from lmcgnn.graph import NormalizedAdjacency, build_graph
 from lmcgnn.kernels import LocalAdjView
+from lmcgnn.trainer.data import Dataset, _random_split
 
 
 def path_edges(n):
@@ -96,6 +98,18 @@ def ref_build_local_view(adj, targets, source_ids, fallback_ids=None):
     )
 
 
+def ref_segment_sum(indptr, ids, w, rows):
+    """One Python iteration per row: each row of the CSR pool summed left
+    to right from zero, the order kernels._segment_sum pins."""
+    out = np.zeros((len(indptr) - 1, rows.shape[1]))
+    for t in range(len(indptr) - 1):
+        acc = np.zeros(rows.shape[1])
+        for k in range(indptr[t], indptr[t + 1]):
+            acc = acc + w[k] * rows[ids[k]]
+        out[t] = acc
+    return out
+
+
 def ref_blend_weights(batch, g, schedule):
     """One Python iteration per halo node; same contract as
     engine.blend.blend_weights."""
@@ -157,6 +171,31 @@ def ref_cut_edges(g, p):
         nbrs = g.neighbors(u)
         count += int(np.sum(p.part_of[nbrs[nbrs > u]] != p.part_of[u]))
     return count
+
+
+def ref_gen_two_cluster(n, d_x, seed, *, deg_in=8.0, deg_out=1.0, sep=1.0,
+                        noise=1.0, flip=0.0):
+    """All n(n-1)/2 pair draws at once over np.triu_indices; same contract
+    as trainer.data.gen_two_cluster for valid arguments."""
+    rng = np.random.default_rng(seed)
+    labels = np.zeros(n, dtype=np.int64)
+    labels[n // 2:] = 1
+    iu, ju = np.triu_indices(n, k=1)
+    same = labels[iu] == labels[ju]
+    p_in = min(1.0, deg_in / max(1, n // 2 - 1))
+    p_out = min(1.0, deg_out / max(1, n - n // 2))
+    p = np.where(same, p_in, p_out)
+    keep = rng.random(p.shape) < p
+    edges = np.stack([iu[keep], ju[keep]], axis=1)
+    mu = sep / np.sqrt(d_x)
+    X = noise * rng.standard_normal((n, d_x))
+    X[labels == 0] += mu
+    X[labels == 1] -= mu
+    if flip > 0.0:
+        hit = rng.permutation(n)[: int(round(flip * n))]
+        labels[hit] = 1 - labels[hit]
+    train, val, test = _random_split(n, rng)
+    return Dataset(build_graph(n, edges), X, labels, train, val, test)
 
 
 def assert_same_arrays(want, got, names):

@@ -4,6 +4,8 @@ import filecmp
 import numpy as np
 import pytest
 
+from conftest import ref_gen_two_cluster
+from lmcgnn.trainer import data
 from lmcgnn.trainer.config import ConfigError
 from lmcgnn.trainer.data import (Dataset, gen_chain_label, gen_synthetic,
                                  gen_two_cluster, load_dataset, save_dataset)
@@ -31,6 +33,31 @@ def test_generators_are_seed_deterministic(tmp_path):
     for name in ("edges.tsv", "features.csv", "labels.csv", "split.csv"):
         assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                            shallow=False)
+
+
+def _assert_same_dataset(want, got):
+    assert want.graph.n == got.graph.n
+    for name in ("indptr", "indices"):
+        a, b = getattr(want.graph, name), getattr(got.graph, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("X", "labels", "train_mask", "val_mask", "test_mask"):
+        a, b = getattr(want, name), getattr(got, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("n, block", [(4, None), (5, None), (64, None),
+                                      (1500, None), (64, 1), (64, 100),
+                                      (37, 35)])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_two_cluster_blocks_match_all_pairs_draw(monkeypatch, n, block, seed):
+    """Drawing the pairs in row blocks gives the all-pairs dataset bit for
+    bit (edges, features, labels, splits): one block, n = 1500 past the
+    first block edge, a block per row, rows longer than a block."""
+    if block is not None:
+        monkeypatch.setattr(data, "_PAIR_BLOCK", block)
+    knobs = dict(deg_in=3.0, deg_out=2.0, flip=0.1)
+    _assert_same_dataset(ref_gen_two_cluster(n, 3, seed, **knobs),
+                         gen_two_cluster(n, 3, seed, **knobs))
 
 
 def test_two_cluster_flip_count():

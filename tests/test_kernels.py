@@ -1,4 +1,5 @@
 """Dense kernels, loss, and sparse aggregation tests."""
+import ast
 import pathlib
 import re
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (assert_same_arrays, dense_adj, path_graph, random_graph,
-                      ref_build_local_view, sparse_graph)
+                      ref_build_local_view, ref_segment_sum, sparse_graph)
 import lmcgnn
+from lmcgnn import kernels
 from lmcgnn.graph import build_graph, normalized_adjacency
 from lmcgnn.kernels import (aggregate, aggregate_listed, aggregate_pruned,
                             build_local_view, fro_norm, full_view,
@@ -263,12 +265,102 @@ def test_local_view_equals_loop_reference(seed, n, p_edge, src_kind, fb_kind):
                        VIEW_ARRAYS)
 
 
+@pytest.mark.parametrize("iters", [0, 1, 40])
+def test_spectral_radius_does_one_product_per_iteration(monkeypatch, iters):
+    """Reusing A x for the next iterate gives bit for bit the value and
+    residual of the loop that applies the operator twice per iteration."""
+    adj = normalized_adjacency(random_graph(np.random.default_rng(9), 25,
+                                            0.15))
+    view = full_view(adj)
+    x = np.full((adj.n, 1), 1.0 / np.sqrt(adj.n))
+    lam = 0.0
+    for _ in range(iters):
+        y = aggregate(view, x)
+        x = y / float(np.linalg.norm(y))
+        lam = float(np.vdot(x, aggregate(view, x)))
+    want = (lam, float(np.linalg.norm(aggregate(view, x) - lam * x)))
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return aggregate(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "aggregate", counted)
+    assert kernels.spectral_radius(adj, iters) == want
+    assert len(calls) == iters + 1
+
+
+LAYOUT_COLUMNS = ("col_ptr", "col_ids", "col_w")
+
+
 def test_operator_has_one_summation_kernel():
     """Every sum over a row of the operator goes through
-    kernels._segment_sum: the package calls reduceat in one place only."""
+    kernels._segment_sum: the package calls no reduceat, and only
+    _segment_sum reads the column arrays of a jagged-diagonal layout."""
     root = pathlib.Path(lmcgnn.__file__).parent
-    calls = {str(p.relative_to(root)): len(re.findall(r"\breduceat\(",
-                                                     p.read_text()))
-             for p in sorted(root.rglob("*.py"))}
-    assert sum(calls.values()) == 1, calls
-    assert calls["kernels.py"] == 1
+    reads, kernel_reads = {}, 0
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text()
+        assert not re.search(r"\breduceat\(", text), path
+        tree = ast.parse(text)
+        reads[str(path.relative_to(root))] = sum(
+            isinstance(node, ast.Attribute) and node.attr in LAYOUT_COLUMNS
+            for node in ast.walk(tree))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_segment_sum":
+                kernel_reads += sum(
+                    isinstance(node, ast.Attribute)
+                    and node.attr in LAYOUT_COLUMNS for node in ast.walk(fn))
+    assert kernel_reads == len(LAYOUT_COLUMNS)
+    assert sum(reads.values()) == kernel_reads, reads
+
+
+def test_full_view_shares_the_operator_layout():
+    """full_view builds no layout: its listed pool sums through the
+    adjacency's own jagged-diagonal arrays, and so does every later call."""
+    rng = np.random.default_rng(8)
+    adj = normalized_adjacency(random_graph(rng, 16, 0.3))
+    layout = full_view(adj).listed_layout
+    assert layout is adj.layout
+    for name in ("perm",) + LAYOUT_COLUMNS:
+        assert getattr(layout, name) is getattr(adj.layout, name), name
+    view = full_view(adj)
+    aggregate(view, rng.standard_normal((16, 3)))
+    assert view.listed_layout is adj.layout
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 18),
+       st.sampled_from([0.0, 0.1, 0.3, 0.7]), st.integers(1, 4),
+       st.sampled_from(["empty", "all", "subset", "shuffled"]),
+       st.sampled_from(["none", "empty", "all", "subset", "shuffled"]))
+def test_products_sum_rows_left_to_right(seed, n, p_edge, width, src_kind,
+                                         fb_kind):
+    """aggregate, aggregate_listed, aggregate_pruned and full-view products
+    equal, bit for bit, the loop that sums each row left to right from zero
+    (the listed sum first, then the pruned sum added to it): isolated
+    nodes, edgeless graphs, empty pools, unsorted targets and pools."""
+    rng = np.random.default_rng(seed)
+    adj = normalized_adjacency(sparse_graph(rng, n, p_edge))
+    H = rng.standard_normal((n, width))
+    ids = np.arange(n)
+    full = ref_build_local_view(adj, ids, ids)
+    assert np.array_equal(aggregate(full_view(adj), H),
+                          ref_segment_sum(full.src_indptr, full.src_ids,
+                                          full.src_w, H))
+
+    targets = rng.permutation(n)[: rng.integers(0, n + 1)]
+    sources = _pool(rng, n, src_kind)
+    fallback = None if fb_kind == "none" else _pool(rng, n, fb_kind)
+    ref = ref_build_local_view(adj, targets, sources, fallback)
+    view = build_local_view(adj, targets, sources, fallback)
+    S = H[sources]
+    listed = ref_segment_sum(ref.src_indptr, ref.src_ids, ref.src_w, S)
+    assert np.array_equal(aggregate_listed(view, S), listed)
+    assert np.array_equal(aggregate(view, S, drop_pruned=True), listed)
+    if fallback is not None and np.all(ref.prn_ids >= 0):
+        F = H[fallback]
+        pruned = ref_segment_sum(ref.prn_indptr, ref.prn_ids, ref.prn_w, F)
+        assert np.array_equal(aggregate_pruned(view, F), pruned)
+        assert np.array_equal(aggregate(view, S, F), listed + pruned)
