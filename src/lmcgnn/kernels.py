@@ -13,7 +13,7 @@ power iteration `spectral_radius` applies the operator the same way.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,8 +106,8 @@ class LocalAdjView:
     prn_indptr: Array
     prn_ids: Array
     prn_w: Array
-    src_jd: JaggedDiagonal | None = field(default=None, repr=False)
-    prn_jd: JaggedDiagonal | None = field(default=None, repr=False)
+    src_jd: JaggedDiagonal | None = None
+    prn_jd: JaggedDiagonal | None = None
 
     @property
     def n_targets(self) -> int:

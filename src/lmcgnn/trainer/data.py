@@ -204,7 +204,7 @@ def _upper_pair_blocks(n: int):
         rows = np.arange(r0, r1, dtype=np.int64)
         counts = n - 1 - rows
         iu = np.repeat(rows, counts)
-        # row i's pairs run j = i+1 .. n-1 from block offset ends[i-1]-start
+        # row i's pairs start at block offset first[i], with j = i + 1 there
         first = np.cumsum(counts) - counts
         ju = np.arange(iu.size, dtype=np.int64) + np.repeat(rows + 1 - first,
                                                             counts)

@@ -138,6 +138,7 @@ def test_full_view_aggregate_matches_dense():
 
 VIEW_ARRAYS = ("targets", "src_indptr", "src_ids", "src_w", "prn_indptr",
                "prn_ids", "prn_w")
+LAYOUT_COLUMNS = ("col_ptr", "col_ids", "col_w")
 
 
 @pytest.mark.parametrize("g", [
@@ -154,8 +155,9 @@ def test_full_view_equals_local_view_of_all_nodes(g):
 
 
 def test_full_view_is_kept_per_adjacency():
-    """Each adjacency's full view is that adjacency's arrays, not a copy
-    and not another adjacency's."""
+    """Each adjacency's full view is that adjacency's arrays, its
+    jagged-diagonal layout included, not a copy and not another
+    adjacency's; summing through the view builds no layout."""
     rng = np.random.default_rng(5)
     g = random_graph(rng, 12, 0.3)
     a, b = normalized_adjacency(g), normalized_adjacency(g)
@@ -166,7 +168,14 @@ def test_full_view_is_kept_per_adjacency():
         assert view.src_ids is adj.indices
         assert view.src_w is adj.weights
         assert view.n_pruned == 0
+        aggregate(view, rng.standard_normal((adj.n, 2)))
+        assert view.listed_layout is adj.layout
+        for name in ("perm",) + LAYOUT_COLUMNS:
+            assert getattr(view.listed_layout, name) is getattr(adj.layout,
+                                                                name)
     assert not np.shares_memory(full_view(a).src_w, b.weights)
+    assert not np.shares_memory(full_view(a).listed_layout.col_w,
+                                b.layout.col_w)
     assert [full_view(x).n_targets for x in (a, b, c)] == [12, 12, 7]
 
 
@@ -291,9 +300,6 @@ def test_spectral_radius_does_one_product_per_iteration(monkeypatch, iters):
     assert len(calls) == iters + 1
 
 
-LAYOUT_COLUMNS = ("col_ptr", "col_ids", "col_w")
-
-
 def test_operator_has_one_summation_kernel():
     """Every sum over a row of the operator goes through
     kernels._segment_sum: the package calls no reduceat, and only
@@ -314,20 +320,6 @@ def test_operator_has_one_summation_kernel():
                     and node.attr in LAYOUT_COLUMNS for node in ast.walk(fn))
     assert kernel_reads == len(LAYOUT_COLUMNS)
     assert sum(reads.values()) == kernel_reads, reads
-
-
-def test_full_view_shares_the_operator_layout():
-    """full_view builds no layout: its listed pool sums through the
-    adjacency's own jagged-diagonal arrays, and so does every later call."""
-    rng = np.random.default_rng(8)
-    adj = normalized_adjacency(random_graph(rng, 16, 0.3))
-    layout = full_view(adj).listed_layout
-    assert layout is adj.layout
-    for name in ("perm",) + LAYOUT_COLUMNS:
-        assert getattr(layout, name) is getattr(adj.layout, name), name
-    view = full_view(adj)
-    aggregate(view, rng.standard_normal((16, 3)))
-    assert view.listed_layout is adj.layout
 
 
 @settings(max_examples=80, deadline=None)
